@@ -21,6 +21,7 @@ import json
 import math
 import time
 
+from repro import EngineConfig
 from repro.core import O2
 from repro.emulator import APPLE_M1
 from repro.perf import geomean, lfi_variant, native_variant, run_variant
@@ -36,7 +37,8 @@ def _timed_run(asm, bss, variant, engine, repeat):
     metrics = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        m = run_variant(asm, bss, variant, APPLE_M1, engine=engine)
+        m = run_variant(asm, bss, variant, APPLE_M1,
+                        engine=EngineConfig(kind=engine))
         best = min(best, time.perf_counter() - t0)
         if metrics is not None:
             # Architectural equivalence across repeats of one engine.

@@ -208,7 +208,7 @@ class Machine:
         self.engine = config.kind
         #: Runtime springboard for fused runtime calls, or ``None``.
         #: Set by :class:`repro.runtime.runtime.Runtime`; called by the
-        #: superblock dispatch loops with the host entry address after a
+        #: superblock dispatch loop with the host entry address after a
         #: fused ``ldr``/``blr`` pair lands on a registered host entry.
         #: Returns ``(fresh_fuel, force_step)`` to resume translated
         #: execution inline, or raises to end the slice.
@@ -288,9 +288,6 @@ class Machine:
         # straight through it; drop any block covering the address.
         self._sb.invalidate_range(address, 4)
 
-    def host_token(self, address: int):
-        return self._host_entries.get(address)
-
     @property
     def cycles(self) -> float:
         return self._costing.cycles if self._costing else float(self.instret)
@@ -340,11 +337,16 @@ class Machine:
 
     # -- execution -------------------------------------------------------------
 
-    def step(self) -> None:
-        cpu = self.cpu
-        pc = cpu.pc
-        if pc in self._host_entries:
-            raise HostCallTrap(pc, pc)
+    def _decode(self, pc: int) -> Tuple[Instruction, Callable, str, Tuple,
+                                        Tuple]:
+        """The decode-cache entry for the word at ``pc``, filling it.
+
+        ``(inst, handler, klass, uses, defs)``: the instruction, its
+        semantic handler, its cost class, and its scoreboard keys.  The
+        stepping interpreter and the superblock translator share this one
+        decode of every word.  Raises the trap fetching or decoding
+        ``pc`` would.
+        """
         cached = self._decode_cache.get(pc)
         if cached is None:
             try:
@@ -366,6 +368,16 @@ class Machine:
             )
             cached = (inst, handler, klass, uses, defs)
             self._decode_cache[pc] = cached
+        return cached
+
+    def step(self) -> None:
+        cpu = self.cpu
+        pc = cpu.pc
+        if pc in self._host_entries:
+            raise HostCallTrap(pc, pc)
+        cached = self._decode_cache.get(pc)
+        if cached is None:
+            cached = self._decode(pc)
         inst, handler, klass, uses, defs = cached
         try:
             taken, mem_addr = handler(inst)

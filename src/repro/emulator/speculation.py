@@ -41,7 +41,6 @@ import random
 from typing import List, Optional
 
 from ..arm64 import isa
-from ..arm64.decoder import decode_word
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import Mem
 from ..engine import SpeculationConfig
@@ -186,19 +185,13 @@ class SpeculativeEngine:
     # -- transient window ---------------------------------------------------
 
     def _peek(self, pc: int) -> Optional[Instruction]:
-        """Decode without executing or raising; None = would trap on fetch."""
-        machine = self.machine
-        cached = machine._decode_cache.get(pc)
-        if cached is not None:
-            return cached[0]
+        """Decode without executing or raising; None = would trap on
+        fetch or decode."""
+        from .machine import MemTrap, UnknownInstructionTrap
         try:
-            word = machine.memory.fetch(pc)
-        except MemoryFault:
+            return self.machine._decode(pc)[0]
+        except (MemTrap, UnknownInstructionTrap):
             return None
-        inst = decode_word(word, pc)
-        if inst is None or machine._exec.get(inst.base) is None:
-            return None
-        return inst
 
     def _run_window(self, kind: str, branch_pc: int, wrong_pc: int) -> None:
         from .machine import Trap

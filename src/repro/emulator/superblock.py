@@ -18,7 +18,7 @@ Design rules (DESIGN.md §10, §15):
   updates in one dispatch;
 * a block ending in the runtime-call idiom (``ldr x30, [x21, #n]``;
   ``blr x30`` — the rewriter's :func:`is_runtime_call_load` predicate)
-  carries a fused ``rtcall`` closure; the dispatch loops execute it and
+  carries a fused ``rtcall`` closure; the dispatch loop executes it and
   hand control straight to the runtime's *springboard*
   (``machine.springboard``) instead of raising ``HostCallTrap``, and the
   springboard resumes translated execution inline when the scheduler
@@ -28,9 +28,13 @@ Design rules (DESIGN.md §10, §15):
   loops dispatch block-to-block without a host-entry check or cache
   lookup; invalidation clears ``valid``, which lazily unlinks every
   chain through the dead block;
-* cycle accounting replicates the stepping interpreter's float operation
-  order exactly, so cycle counts, trace timestamps, and metrics snapshots
-  are bit-identical between engines;
+* one dispatch loop runs every block.  Uncosted blocks (``model=None``)
+  run their op closures directly.  Under a cost model a block is stepped
+  through ``Machine.step`` until its ``_COMPILE_THRESHOLD``-th execution
+  and then compiled into one generated closure that replicates the
+  stepping interpreter's float operation order exactly, so cycle counts,
+  trace timestamps, and metrics snapshots are bit-identical between
+  engines;
 * a block never overruns the remaining fuel: oversized blocks fall back
   to per-instruction stepping for the tail of the timeslice;
 * the block cache invalidates on any mapping change (``mmap``/``munmap``/
@@ -49,7 +53,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..arm64.decoder import decode_word
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
     Shifted, ShiftedImm, VecReg, canonical_condition
@@ -60,8 +63,9 @@ from .cpu import MASK32, MASK64
 
 __all__ = ["Superblock", "SuperblockEngine"]
 
-#: Op kinds — the first element of every op tuple.  The execute loops
-#: branch on these instead of unpacking a generic handler result.
+#: Op kinds — the first element of every op tuple.  The uncosted op loop
+#: and the block compiler branch on these instead of unpacking a generic
+#: handler result.
 K_SIMPLE = 0   # exec() -> None; no memory access, never taken
 K_MEM = 1      # exec() -> address int; load/store, never taken
 K_BRANCH = 2   # exec() -> taken bool; terminator
@@ -71,14 +75,15 @@ K_FUSED_BRANCH = 5  # guard add + br/blr/ret; exec() -> None, always taken
 K_FUSED_SIMPLE = 6  # sp guard pair; exec() -> None
 
 #: Costed blocks are compiled into specialized closures once they show
-#: signs of re-execution; cold blocks stay on the interpretive loop so
-#: straight-line code never pays the ~2ms/block codegen cost (measured:
-#: threshold 8 compiles only the hot loop bodies of the Table-4 kernels
-#: while 2 compiles every init block for no wall-clock gain).
+#: signs of re-execution; cold blocks are stepped by ``Machine.step`` so
+#: straight-line code never pays the ~1-2ms/block codegen cost (measured:
+#: threshold 8 compiles only the hot loop bodies of the Table-4 kernels;
+#: compiling every block on first hit adds ~0.28s per SPEC-profile round
+#: for no gain, since cold blocks retire well under 1% of instructions).
 _COMPILE_THRESHOLD = 8
-#: Blocks larger than this stay interpretive: generated source for a
-#: page-spanning straight-line run would cost more to compile than the
-#: dispatch overhead it saves.
+#: Translation ends a block after this many instructions, so every block
+#: can compile: generated source for a page-spanning straight-line run
+#: would otherwise cost more to compile than the dispatch it saves.
 _COMPILE_MAX_OPS = 256
 
 _TERMINATOR_BASES = frozenset([
@@ -120,13 +125,13 @@ class Superblock:
 
     ``link_fall``/``link_taken`` are the block-chaining inline caches
     (observed successor blocks); ``valid`` is cleared on invalidation so
-    stale links are rejected by the dispatch loops without needing to
+    stale links are rejected by the dispatch loop without needing to
     find and unlink every predecessor.
 
     ``fn`` is the block's specialized closure, compiled by
-    :meth:`SuperblockEngine._compile_block` once ``hits`` shows the
-    block re-executing under the cost model; None until then (and
-    forever, on the uncosted path).
+    :meth:`SuperblockEngine._compile_block` on the costed block's
+    ``_COMPILE_THRESHOLD``-th execution (``hits`` counts them); None
+    until then, and forever on the uncosted path.
     """
 
     __slots__ = ("start", "end", "ops", "count", "next_pc", "rtcall",
@@ -149,25 +154,6 @@ class Superblock:
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Superblock({self.start:#x}..{self.end:#x}, "
                 f"{len(self.ops)} ops, fuel {self.count})")
-
-
-class _BlockFault(Exception):
-    """Carrier for partial cost state when a compiled block traps.
-
-    A compiled block keeps ``t_issue``/``t_done``/``n`` in locals for
-    speed; when an op raises mid-block those partials must still be
-    committed (exactly as the interpretive loop's ``finally`` would), so
-    the generated code wraps any escaping exception with the state
-    accumulated so far and the dispatch loop unwraps it.
-    """
-
-    __slots__ = ("t_issue", "t_done", "n", "exc")
-
-    def __init__(self, t_issue, t_done, n, exc):
-        self.t_issue = t_issue
-        self.t_done = t_done
-        self.n = n
-        self.exc = exc
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +831,7 @@ def _t_rtcall(cpu, regs, read, base_i, imm, link):
     holds the return address and ``pc`` the loaded entry point.  A fault
     in the table load raises before any register is written, exactly as
     the stepping ``ldr`` would.  Returns the table address for the
-    dispatch loop's TLB/cache charging.
+    compiled block's TLB/cache charging.
     """
     def run():
         addr = (regs[base_i] + imm) & MASK64
@@ -1005,7 +991,7 @@ def _t_fused_sp_guard(cpu, regs, w_d, base_i):
 # ---------------------------------------------------------------------------
 
 class SuperblockEngine:
-    """Block cache + translator + block-dispatch loops for one Machine."""
+    """Block cache + translator + block-dispatch loop for one Machine."""
 
     def __init__(self, machine):
         # Imported lazily: machine.py imports this module at its top.
@@ -1014,7 +1000,7 @@ class SuperblockEngine:
         self.machine = machine
         self._blocks: Dict[int, Superblock] = {}
         config = getattr(machine, "engine_config", None)
-        #: Whether the dispatch loops follow block successor links.
+        #: Whether the dispatch loop follows block successor links.
         self.chaining = config.chaining if config is not None else True
         #: Translation-cache flush threshold (None = unbounded).
         self.block_cache_cap = (config.block_cache_cap
@@ -1068,44 +1054,184 @@ class SuperblockEngine:
         fuel ``n``, exactly ``n`` instructions retire (the ``n+1``-th may
         raise its trap first) and then ``OutOfFuel`` is raised.
         """
-        machine = self.machine
         remaining = fuel if fuel is not None else (1 << 62)
         if remaining <= 0:
             raise self._M.OutOfFuel()
-        if machine._costing is not None:
-            remaining = self._run_costed(remaining)
-        else:
-            remaining = self._run_fast(remaining)
+        remaining = self._run(remaining)
         # A block larger than the remaining fuel: fall back to stepping
         # for the tail of the slice, then report preemption.
-        step = machine.step
+        step = self.machine.step
         for _ in range(remaining):
             step()
         raise self._M.OutOfFuel()
 
+    def _run(self, remaining: int) -> int:
+        """The block dispatch loop; returns the fuel left for stepping.
+
+        Every block takes the same path: chain follow (or host-entry
+        check, cache lookup and translation), the fuel check, the block
+        body, then the shared tail — fall-through pc, fuel, chain link,
+        and for a fused runtime call the springboard.  The body is chosen
+        from the block's state:
+
+        * uncosted (``model=None``): the plain op loop;
+        * costed and hot: the compiled closure, which commits the cost
+          state and retired count itself;
+        * costed and cold (fewer than ``_COMPILE_THRESHOLD`` hits):
+          ``Machine.step`` retires the block's instructions one by one —
+          the reference interpreter, so cold code needs no second costed
+          implementation.  A stepped block is never a chain source, and
+          a stepped runtime call reaches its host entry the stepping way
+          (``HostCallTrap`` on the next dispatch).
+        """
+        M = self._M
+        machine = self.machine
+        cpu = machine.cpu
+        host = machine._host_entries
+        blocks = self._blocks
+        translate = self._translate
+        springboard = machine.springboard
+        chaining = self.chaining
+        costed = machine._costing is not None
+        step = machine.step
+        n = 0
+        links = 0
+        prev = None
+        prev_taken = False
+        try:
+            while True:
+                pc0 = cpu.pc
+                block = None
+                if prev is not None:
+                    nxt = prev.link_taken if prev_taken else prev.link_fall
+                    if nxt is not None and nxt.valid and nxt.start == pc0:
+                        # Chain follow: a valid linked block can never
+                        # start at a host entry (registering one
+                        # invalidates every covering block), so the host
+                        # check and the cache lookup are both skipped.
+                        block = nxt
+                        links += 1
+                if block is None:
+                    if pc0 in host:
+                        raise M.HostCallTrap(pc0, pc0)
+                    block = blocks.get(pc0)
+                    if block is None:
+                        block = translate(pc0)
+                    if prev is not None:
+                        if prev_taken:
+                            prev.link_taken = block
+                        else:
+                            prev.link_fall = block
+                count = block.count
+                if count > remaining:
+                    return remaining
+                taken = False
+                rtcall = block.rtcall
+                if costed:
+                    fn = block.fn
+                    if fn is None:
+                        block.hits += 1
+                        if block.hits < _COMPILE_THRESHOLD:
+                            for _ in range(count):
+                                step()
+                            remaining -= count
+                            if remaining == 0:
+                                raise M.OutOfFuel()
+                            prev = None
+                            continue
+                        fn = block.fn = self._compile_block(block)
+                    taken = fn()
+                else:
+                    try:
+                        for kind, exec_, pc, _ic, _lat, _uses, _defs, fused \
+                                in block.ops:
+                            if kind == 0 or kind == 1:
+                                exec_()
+                                n += 1
+                            elif kind == 2:
+                                taken = exec_()
+                                n += 1
+                            elif kind == 4 or kind == 6:
+                                exec_()
+                                n += 2
+                            elif kind == 5:
+                                exec_()
+                                n += 2
+                                taken = True
+                            else:
+                                taken, _addr = exec_()
+                                n += 1
+                    except MemoryFault as fault:
+                        if kind == 4:
+                            # The guard half retired before the access
+                            # faulted.
+                            a_pc = fused[4]
+                            n += 1
+                            cpu.pc = a_pc
+                            raise M.MemTrap(a_pc, fault) from None
+                        cpu.pc = pc
+                        raise M.MemTrap(pc, fault) from None
+                    if rtcall is not None:
+                        try:
+                            rtcall[0]()
+                        except MemoryFault as fault:
+                            cpu.pc = rtcall[1]
+                            raise M.MemTrap(rtcall[1], fault) from None
+                        n += 2
+                remaining -= count
+                if rtcall is None:
+                    if not taken:
+                        cpu.pc = block.next_pc
+                    if remaining == 0:
+                        raise M.OutOfFuel()
+                    if chaining:
+                        prev = block
+                        prev_taken = taken
+                    continue
+                if remaining == 0:
+                    # The blr was the slice's last fueled instruction:
+                    # preemption wins over the call, as in stepping (the
+                    # next slice's host check raises HostCallTrap).
+                    raise M.OutOfFuel()
+                # Fused runtime call: hand the host entry straight to the
+                # runtime's springboard instead of raising HostCallTrap.
+                prev = None
+                entry = cpu.pc
+                if springboard is None or entry not in host:
+                    continue
+                machine.instret += n
+                n = 0
+                remaining, force_step = springboard(entry)
+                if force_step:
+                    return remaining
+        finally:
+            machine.instret += n
+            self.chain_links += links
+
     def _compile_block(self, block: Superblock):
-        """Compile ``block.ops`` into one specialized straight-line closure.
+        """Compile a hot costed block into one straight-line closure.
 
-        The interpretive costed loop pays per-op Python overhead on every
-        execution: an 8-tuple unpack, a kind switch, and scoreboard loops
-        over ``uses``/``defs``.  For a block that re-executes (a loop
-        body) all of that is static, so it is unrolled here into
-        generated source with every static quantity — issue costs,
-        latencies, scoreboard keys, pcs, model miss charges — folded in
-        as literals (``repr`` of a float round-trips exactly).  The
-        generated function performs the *same float operations in the
-        same order* as the interpretive loop, so cycle totals stay
-        bit-identical; compilation is pure host-side speedup
-        (DESIGN.md §15).
+        A cold block runs through ``Machine.step``, which pays a
+        decode-cache lookup, a handler dispatch and a
+        :meth:`_Costing.charge` call per instruction.  For a block that
+        re-executes (a loop body) all of that is static, so it is
+        unrolled here into generated source with every static quantity —
+        issue costs, latencies, scoreboard keys, pcs, model miss charges
+        — folded in as literals (``repr`` of a float round-trips
+        exactly).  The generated function performs the *same float
+        operations in the same order* as ``Machine.step``, so cycle
+        totals stay bit-identical; compilation is pure host-side speedup
+        (DESIGN.md §15).  A fused runtime-call tail is compiled in too:
+        the table load is charged like any load, the ``blr`` like a
+        taken branch.
 
-        Partial state on a mid-block trap is carried out via
-        :class:`_BlockFault` so the dispatch loop commits exactly what
-        the interpretive loop would have.  Returns None when the block
-        is not worth compiling (empty or oversized ops list).
+        The closure loads ``t_issue``/``t_done`` from the machine's
+        ``_Costing`` into locals and writes them back, with the retired
+        count, in a ``finally`` — so a mid-block trap commits exactly
+        the partial state stepping would have.  It takes no arguments
+        and returns whether the block's terminator branched.
         """
         ops = block.ops
-        if not ops or len(ops) > _COMPILE_MAX_OPS:
-            return None
         machine = self.machine
         model = machine.model
         has_tlb = machine.tlb is not None
@@ -1156,6 +1282,15 @@ class SuperblockEngine:
             emit(f"{ind}    cpu.pc = {pc}")
             emit(f"{ind}    raise MemTrap({pc}, fault) from None")
 
+        def charge_access(ind, ic, lt, uses, defs):
+            # A load/store's charge: model probes on ``addr``, then the
+            # issue cost plus miss bandwidth and the latency plus misses.
+            emit(f"{ind}extra = 0.0")
+            emit(f"{ind}bw = 0.0")
+            probe_checks(ind)
+            emit(f"{ind}t_issue += {ic} + bw")
+            tail(ind, uses, f"{lt} + extra", defs)
+
         ind = "            "
         for i, (kind, _exec, pc, icost, lat, uses, defs, fused) in \
                 enumerate(ops):
@@ -1167,11 +1302,7 @@ class SuperblockEngine:
                 emit(f"{ind}n += 1")
             elif kind == 1:  # load/store
                 guarded(ind, f"addr = e{i}()", pc)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                probe_checks(ind)
-                emit(f"{ind}t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
+                charge_access(ind, ic, lt, uses, defs)
                 emit(f"{ind}n += 1")
             elif kind == 2:  # branch terminator
                 guarded(ind, f"taken = e{i}()", pc)
@@ -1195,11 +1326,7 @@ class SuperblockEngine:
                 emit(f"{ind}    raise MemTrap({a_pc}, fault) from None")
                 emit(f"{ind}t_issue += {g_ic}")
                 tail(ind, g_uses, g_lt, g_defs)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                probe_checks(ind)
-                emit(f"{ind}t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
+                charge_access(ind, ic, lt, uses, defs)
                 emit(f"{ind}n += 2")
             elif kind == 5:  # fused guard + indirect branch
                 g_icost, g_lat, g_uses, g_defs, _a_pc = fused
@@ -1230,26 +1357,39 @@ class SuperblockEngine:
                 emit(f"{ind}    t_issue += {ic} + bw")
                 tail(ind, uses, f"{lt} + extra", defs)
                 emit(f"{ind}n += 1")
+        rtcall = block.rtcall
+        if rtcall is not None:  # fused ldr x30, [x21, #n]; blr x30
+            (_exec, r_pc, l_icost, l_lat, l_uses, l_defs,
+             b_icost, b_lat, b_uses, b_defs) = rtcall
+            guarded(ind, "addr = rt()", r_pc)
+            charge_access(ind, repr(l_icost), repr(l_lat), l_uses, l_defs)
+            emit(f"{ind}t_issue += {repr(b_icost + tb)}")
+            tail(ind, b_uses, repr(b_lat), b_defs)
+            emit(f"{ind}n += 2")
 
         binds = ", ".join(
             [f"e{i}=ops[{i}][1]" for i in range(len(ops))]
-            + ["ready=ready", "ready_get=ready_get", "cpu=cpu",
+            + ["rt=rt", "costing=costing", "machine=machine",
+               "ready=ready", "ready_get=ready_get", "cpu=cpu",
                "tlb_lookup=tlb_lookup", "l1_lookup=l1_lookup",
                "l2_lookup=l2_lookup", "MemoryFault=MemoryFault",
-               "MemTrap=MemTrap", "BlockFault=BlockFault"])
+               "MemTrap=MemTrap"])
         src = "\n".join(
-            ["def _factory(ops, ready, ready_get, cpu, tlb_lookup,",
-             "             l1_lookup, l2_lookup, MemoryFault, MemTrap,",
-             "             BlockFault):",
-             f"    def run(t_issue, t_done, {binds}):",
+            ["def _factory(ops, rt, costing, machine, ready, ready_get,",
+             "             cpu, tlb_lookup, l1_lookup, l2_lookup,",
+             "             MemoryFault, MemTrap):",
+             f"    def run({binds}):",
+             "        t_issue = costing.t_issue",
+             "        t_done = costing.t_done",
              "        n = 0",
              "        taken = False",
              "        try:",
              *lines,
-             "        except BaseException as exc:",
-             "            raise BlockFault(t_issue, t_done, n, exc) "
-             "from None",
-             "        return t_issue, t_done, n, taken",
+             "        finally:",
+             "            costing.t_issue = t_issue",
+             "            costing.t_done = t_done",
+             "            machine.instret += n",
+             "        return taken",
              "    return run",
              ""])
         namespace: Dict[str, object] = {}
@@ -1257,495 +1397,32 @@ class SuperblockEngine:
              namespace)
         costing = machine._costing
         fn = namespace["_factory"](
-            ops, costing.ready, costing.ready.get, machine.cpu,
+            ops, rtcall[0] if rtcall is not None else None, costing,
+            machine, costing.ready, costing.ready.get, machine.cpu,
             machine.tlb.lookup if has_tlb else None,
             machine.l1.lookup if has_l1 else None,
             machine.l2.lookup if machine.l2 is not None else None,
-            MemoryFault, self._M.MemTrap, _BlockFault)
+            MemoryFault, self._M.MemTrap)
         self.compiled_blocks += 1
         return fn
-
-    def _run_costed(self, remaining: int) -> int:
-        M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        host = machine._host_entries
-        blocks = self._blocks
-        translate = self._translate
-        costing = machine._costing
-        model = machine.model
-        tlb = machine.tlb
-        l1 = machine.l1
-        l2 = machine.l2
-        tlb_lookup = tlb.lookup if tlb is not None else None
-        l1_lookup = l1.lookup if l1 is not None else None
-        l2_lookup = l2.lookup if l2 is not None else None
-        walk = model.tlb_walk_cycles * machine.tlb_walk_scale
-        walk_bw = walk * model.tlb_walk_issue_fraction
-        l1_cyc = model.l1_miss_cycles
-        l1_bw = model.l1_miss_issue
-        l2_cyc = model.l2_miss_cycles
-        l2_bw = model.l2_miss_issue
-        tb = model.taken_branch_cost
-        ready = costing.ready
-        ready_get = ready.get
-        springboard = machine.springboard
-        chaining = self.chaining
-        t_issue = costing.t_issue
-        t_done = costing.t_done
-        n = 0
-        links = 0
-        kind = pc = fused = None
-        prev = None
-        prev_taken = False
-        try:
-            while True:
-                pc0 = cpu.pc
-                block = None
-                if prev is not None:
-                    nxt = prev.link_taken if prev_taken else prev.link_fall
-                    if nxt is not None and nxt.valid and nxt.start == pc0:
-                        # Chain follow: a valid linked block can never
-                        # start at a host entry (registering one
-                        # invalidates every covering block), so the host
-                        # check and the cache lookup are both skipped.
-                        block = nxt
-                        links += 1
-                if block is None:
-                    if pc0 in host:
-                        raise M.HostCallTrap(pc0, pc0)
-                    block = blocks.get(pc0)
-                    if block is None:
-                        block = translate(pc0)
-                    if prev is not None:
-                        if prev_taken:
-                            prev.link_taken = block
-                        else:
-                            prev.link_fall = block
-                count = block.count
-                if count > remaining:
-                    return remaining
-                fn = block.fn
-                if fn is None and block.hits >= 0:
-                    block.hits += 1
-                    if block.hits >= _COMPILE_THRESHOLD:
-                        fn = block.fn = self._compile_block(block)
-                        if fn is None:
-                            block.hits = -1  # not compilable; stop trying
-                if fn is not None:
-                    # Compiled fast path: the interpretive loop below
-                    # sees an empty op list and falls through to the
-                    # shared block tail with ``taken`` from the closure.
-                    try:
-                        t_issue, t_done, dn, taken = fn(t_issue, t_done)
-                    except _BlockFault as bf:
-                        t_issue = bf.t_issue
-                        t_done = bf.t_done
-                        n += bf.n
-                        raise bf.exc from None
-                    n += dn
-                    ops_iter = ()
-                else:
-                    taken = False
-                    ops_iter = block.ops
-                try:
-                    for kind, exec_, pc, icost, lat, uses, defs, fused \
-                            in ops_iter:
-                        if kind == 0:  # simple: no memory, never taken
-                            exec_()
-                            t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 1:  # load/store
-                            addr = exec_()
-                            extra = 0.0
-                            bw = 0.0
-                            if tlb_lookup is not None \
-                                    and not tlb_lookup(addr):
-                                extra += walk
-                                bw += walk_bw
-                            if l1_lookup is not None and not l1_lookup(addr):
-                                extra += l1_cyc
-                                bw += l1_bw
-                                if not l2_lookup(addr):
-                                    extra += l2_cyc
-                                    bw += l2_bw
-                            t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 2:  # branch terminator
-                            taken = exec_()
-                            if taken:
-                                t_issue += icost + tb
-                            else:
-                                t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 4:  # fused guard + load/store
-                            addr = exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            extra = 0.0
-                            bw = 0.0
-                            if tlb_lookup is not None \
-                                    and not tlb_lookup(addr):
-                                extra += walk
-                                bw += walk_bw
-                            if l1_lookup is not None and not l1_lookup(addr):
-                                extra += l1_cyc
-                                bw += l1_bw
-                                if not l2_lookup(addr):
-                                    extra += l2_cyc
-                                    bw += l2_bw
-                            t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                        elif kind == 5:  # fused guard + indirect branch
-                            exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            t_issue += icost + tb
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                            taken = True
-                        elif kind == 6:  # fused sp guard pair
-                            exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                        else:  # generic handler semantics
-                            taken, addr = exec_()
-                            extra = 0.0
-                            bw = 0.0
-                            if addr is not None:
-                                if tlb_lookup is not None \
-                                        and not tlb_lookup(addr):
-                                    extra += walk
-                                    bw += walk_bw
-                                if l1_lookup is not None \
-                                        and not l1_lookup(addr):
-                                    extra += l1_cyc
-                                    bw += l1_bw
-                                    if not l2_lookup(addr):
-                                        extra += l2_cyc
-                                        bw += l2_bw
-                            if taken:
-                                t_issue += icost + tb + bw
-                            else:
-                                t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                except MemoryFault as fault:
-                    if kind == 4:
-                        # The guard half retired before the access faulted.
-                        g_icost, g_lat, g_uses, g_defs, a_pc = fused
-                        t_issue += g_icost
-                        start = t_issue
-                        for key in g_uses:
-                            t = ready_get(key)
-                            if t is not None and t > start:
-                                start = t
-                        finish = start + g_lat
-                        for key in g_defs:
-                            ready[key] = finish
-                        if finish > t_done:
-                            t_done = finish
-                        n += 1
-                        cpu.pc = a_pc
-                        raise M.MemTrap(a_pc, fault) from None
-                    cpu.pc = pc
-                    raise M.MemTrap(pc, fault) from None
-                rtcall = block.rtcall
-                if rtcall is None:
-                    if not taken:
-                        cpu.pc = block.next_pc
-                    remaining -= count
-                    if remaining == 0:
-                        raise M.OutOfFuel()
-                    if chaining:
-                        prev = block
-                        prev_taken = taken
-                    continue
-                # Fused runtime-call tail: execute the pair, charge the
-                # table load exactly like a kind-1 op and the blr exactly
-                # like a taken branch, then springboard into the runtime
-                # without raising HostCallTrap.
-                (exec_, r_pc, l_icost, l_lat, l_uses, l_defs,
-                 b_icost, b_lat, b_uses, b_defs) = rtcall
-                try:
-                    addr = exec_()
-                except MemoryFault as fault:
-                    cpu.pc = r_pc
-                    raise M.MemTrap(r_pc, fault) from None
-                extra = 0.0
-                bw = 0.0
-                if tlb_lookup is not None and not tlb_lookup(addr):
-                    extra += walk
-                    bw += walk_bw
-                if l1_lookup is not None and not l1_lookup(addr):
-                    extra += l1_cyc
-                    bw += l1_bw
-                    if not l2_lookup(addr):
-                        extra += l2_cyc
-                        bw += l2_bw
-                t_issue += l_icost + bw
-                start = t_issue
-                for key in l_uses:
-                    t = ready_get(key)
-                    if t is not None and t > start:
-                        start = t
-                finish = start + l_lat + extra
-                for key in l_defs:
-                    ready[key] = finish
-                if finish > t_done:
-                    t_done = finish
-                t_issue += b_icost + tb
-                start = t_issue
-                for key in b_uses:
-                    t = ready_get(key)
-                    if t is not None and t > start:
-                        start = t
-                finish = start + b_lat
-                for key in b_defs:
-                    ready[key] = finish
-                if finish > t_done:
-                    t_done = finish
-                n += 2
-                remaining -= count
-                if remaining == 0:
-                    # The blr was the slice's last fueled instruction:
-                    # preemption wins over the call, as in stepping (the
-                    # next slice's host check raises HostCallTrap).
-                    raise M.OutOfFuel()
-                prev = None
-                entry = cpu.pc
-                if springboard is None or entry not in host:
-                    continue
-                costing.t_issue = t_issue
-                costing.t_done = t_done
-                machine.instret += n
-                n = 0
-                try:
-                    remaining, force_step = springboard(entry)
-                finally:
-                    t_issue = costing.t_issue
-                    t_done = costing.t_done
-                if force_step:
-                    return remaining
-        finally:
-            costing.t_issue = t_issue
-            costing.t_done = t_done
-            machine.instret += n
-            self.chain_links += links
-
-    def _run_fast(self, remaining: int) -> int:
-        """Block dispatch without a cost model (fuzz oracles)."""
-        M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        host = machine._host_entries
-        blocks = self._blocks
-        translate = self._translate
-        springboard = machine.springboard
-        chaining = self.chaining
-        n = 0
-        links = 0
-        kind = pc = fused = None
-        prev = None
-        prev_taken = False
-        try:
-            while True:
-                pc0 = cpu.pc
-                block = None
-                if prev is not None:
-                    nxt = prev.link_taken if prev_taken else prev.link_fall
-                    if nxt is not None and nxt.valid and nxt.start == pc0:
-                        block = nxt
-                        links += 1
-                if block is None:
-                    if pc0 in host:
-                        raise M.HostCallTrap(pc0, pc0)
-                    block = blocks.get(pc0)
-                    if block is None:
-                        block = translate(pc0)
-                    if prev is not None:
-                        if prev_taken:
-                            prev.link_taken = block
-                        else:
-                            prev.link_fall = block
-                count = block.count
-                if count > remaining:
-                    return remaining
-                taken = False
-                try:
-                    for kind, exec_, pc, icost, lat, uses, defs, fused \
-                            in block.ops:
-                        if kind == 0 or kind == 1:
-                            exec_()
-                            n += 1
-                        elif kind == 2:
-                            taken = exec_()
-                            n += 1
-                        elif kind == 4 or kind == 6:
-                            exec_()
-                            n += 2
-                        elif kind == 5:
-                            exec_()
-                            n += 2
-                            taken = True
-                        else:
-                            taken, _addr = exec_()
-                            n += 1
-                except MemoryFault as fault:
-                    if kind == 4:
-                        a_pc = fused[4]
-                        n += 1
-                        cpu.pc = a_pc
-                        raise M.MemTrap(a_pc, fault) from None
-                    cpu.pc = pc
-                    raise M.MemTrap(pc, fault) from None
-                rtcall = block.rtcall
-                if rtcall is None:
-                    if not taken:
-                        cpu.pc = block.next_pc
-                    remaining -= count
-                    if remaining == 0:
-                        raise M.OutOfFuel()
-                    if chaining:
-                        prev = block
-                        prev_taken = taken
-                    continue
-                try:
-                    rtcall[0]()
-                except MemoryFault as fault:
-                    r_pc = rtcall[1]
-                    cpu.pc = r_pc
-                    raise M.MemTrap(r_pc, fault) from None
-                n += 2
-                remaining -= count
-                if remaining == 0:
-                    raise M.OutOfFuel()
-                prev = None
-                entry = cpu.pc
-                if springboard is None or entry not in host:
-                    continue
-                machine.instret += n
-                n = 0
-                remaining, force_step = springboard(entry)
-                if force_step:
-                    return remaining
-        finally:
-            machine.instret += n
-            self.chain_links += links
 
     # -- translation --------------------------------------------------------
 
     def _translate(self, start: int) -> Superblock:
         """Predecode the straight-line run starting at ``start``.
 
-        Raises the same trap ``Machine.step`` would raise if the *first*
-        instruction is unfetchable or undecodable; later problems simply
-        end the block (the next dispatch raises them with the exact pc).
+        The run ends at a terminator, a host entry, the page end, or
+        after ``_COMPILE_MAX_OPS`` instructions.  Words are decoded
+        through ``Machine._decode``, so a block and the stepping
+        interpreter share one decode-cache entry per word.  Raises the
+        same trap ``Machine.step`` would raise if the *first* instruction
+        is unfetchable or undecodable; later problems simply end the
+        block (the next dispatch raises them with the exact pc).
         """
         M = self._M
         machine = self.machine
         memory = machine.memory
-        dispatch = machine._exec
+        decode = machine._decode
         host = machine._host_entries
         page_size = memory.page_size
         limit = (start // page_size + 1) * page_size
@@ -1755,25 +1432,19 @@ class SuperblockEngine:
             # run with the same config, so counters stay reproducible.
             self.invalidate_all()
 
-        decoded: List[Tuple[int, Instruction, object]] = []
+        decoded: List[Tuple[int, tuple]] = []
         pc = start
-        while pc < limit:
+        while pc < limit and len(decoded) < _COMPILE_MAX_OPS:
             if pc in host and pc != start:
                 break
             try:
-                word = memory.fetch(pc)
-            except MemoryFault as fault:
+                entry = decode(pc)
+            except (M.MemTrap, M.UnknownInstructionTrap):
                 if not decoded:
-                    raise M.MemTrap(pc, fault) from None
+                    raise
                 break
-            inst = decode_word(word, pc)
-            handler = dispatch.get(inst.base) if inst is not None else None
-            if handler is None:
-                if not decoded:
-                    raise M.UnknownInstructionTrap(pc, word)
-                break
-            decoded.append((pc, inst, handler))
-            if inst.base in _TERMINATOR_BASES:
+            decoded.append((pc, entry))
+            if entry[0].base in _TERMINATOR_BASES:
                 break
             pc += 4
 
@@ -1785,18 +1456,18 @@ class SuperblockEngine:
         # closure so the dispatch loop can hand control to the runtime
         # springboard without trap-based unwinding.
         rtcall = None
-        if len(decoded) >= 2 and decoded[-1][1].base == "blr" \
+        if len(decoded) >= 2 and decoded[-1][1][0].base == "blr" \
                 and is_runtime_call_load(
-                    [decoded[-2][1], decoded[-1][1]], 0):
-            ldr_pc, ldr_inst, _ = decoded[-2]
-            blr_pc, blr_inst, _ = decoded[-1]
-            form = self._mem_form(ldr_inst.mem)
+                    [decoded[-2][1][0], decoded[-1][1][0]], 0):
+            ldr_pc, ldr_entry = decoded[-2]
+            blr_pc, blr_entry = decoded[-1]
+            form = self._mem_form(ldr_entry[0].mem)
             if form is not None and form[0] == "imm" and not form[2]:
                 exec_ = _t_rtcall(machine.cpu, machine.cpu.regs,
                                   memory.read, form[1], form[3],
                                   blr_pc + 4)
-                l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr_inst)
-                b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr_inst)
+                l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr_entry)
+                b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr_entry)
                 rtcall = (exec_, ldr_pc, l_icost, l_lat, l_uses, l_defs,
                           b_icost, b_lat, b_uses, b_defs)
                 decoded = decoded[:-2]
@@ -1807,15 +1478,15 @@ class SuperblockEngine:
         count = 2 if rtcall is not None else 0
         i = 0
         while i < len(decoded):
-            pc_i, inst, handler = decoded[i]
+            pc_i, entry = decoded[i]
             if guard_map and pc_i in guard_map and i + 1 < len(decoded):
-                fused = self._try_fuse(pc_i, inst, decoded[i + 1][1])
+                fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
                 if fused is not None:
                     ops.append(fused)
                     count += 2
                     i += 2
                     continue
-            ops.append(self._build_op(pc_i, inst, handler))
+            ops.append(self._build_op(pc_i, entry))
             count += 1
             i += 1
 
@@ -1827,25 +1498,19 @@ class SuperblockEngine:
 
     # -- op construction ----------------------------------------------------
 
-    def _cost_entry(self, inst: Instruction):
-        """(icost, lat, uses, defs) exactly as Machine.step caches them."""
-        M = self._M
-        machine = self.machine
-        klass = M._classify(inst)
-        model = machine.model
-        if model is not None:
-            icost = model.issue_cost(klass)
-            lat = model.result_latency(klass)
-        else:
-            icost = lat = 0.0
-        uses = tuple(k for k in (M._reg_key(r) for r in inst.uses())
-                     if k is not None)
-        defs = tuple(k for k in (M._reg_key(r) for r in inst.defs())
-                     if k is not None)
-        return icost, lat, uses, defs
+    def _cost_entry(self, entry: tuple):
+        """(icost, lat, uses, defs) of a decode-cache entry, priced the
+        way ``Machine.step`` charges it."""
+        _inst, _handler, klass, uses, defs = entry
+        model = self.machine.model
+        if model is None:
+            return 0.0, 0.0, uses, defs
+        return (model.issue_cost(klass), model.result_latency(klass), uses,
+                defs)
 
-    def _build_op(self, pc: int, inst: Instruction, handler) -> tuple:
-        icost, lat, uses, defs = self._cost_entry(inst)
+    def _build_op(self, pc: int, entry: tuple) -> tuple:
+        inst, handler = entry[0], entry[1]
+        icost, lat, uses, defs = self._cost_entry(entry)
         spec = self._specialize(pc, inst)
         if spec is None:
             exec_ = partial(handler, inst)
@@ -2221,16 +1886,18 @@ class SuperblockEngine:
 
     # -- guard fusion --------------------------------------------------------
 
-    def _try_fuse(self, pc: int, guard: Instruction,
-                  access: Instruction) -> Optional[tuple]:
+    def _try_fuse(self, pc: int, guard_entry: tuple,
+                  access_entry: tuple) -> Optional[tuple]:
         """Fuse a verified guard instruction with its consumer.
 
-        Returns a complete op tuple (kind K_FUSED_*) or None.  The op's
-        main cost fields describe the *access* instruction; the ``fused``
-        slot carries ``(guard_icost, guard_lat, guard_uses, guard_defs,
-        access_pc)`` so the execute loop charges both entries in retire
+        Takes both instructions' decode-cache entries.  Returns a
+        complete op tuple (kind K_FUSED_*) or None.  The op's main cost
+        fields describe the *access* instruction; the ``fused`` slot
+        carries ``(guard_icost, guard_lat, guard_uses, guard_defs,
+        access_pc)`` so compiled blocks charge both entries in retire
         order — cycle accounting stays bit-identical to stepping.
         """
+        guard, access = guard_entry[0], access_entry[0]
         machine = self.machine
         cpu = machine.cpu
         regs = cpu.regs
@@ -2342,8 +2009,8 @@ class SuperblockEngine:
 
         if fused_exec is None:
             return None
-        g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard)
-        a_icost, a_lat, a_uses, a_defs = self._cost_entry(access)
+        g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard_entry)
+        a_icost, a_lat, a_uses, a_defs = self._cost_entry(access_entry)
         fused_info = (g_icost, g_lat, g_uses, g_defs, pc + 4)
         return (kind, fused_exec, pc, a_icost, a_lat, a_uses, a_defs,
                 fused_info)

@@ -7,16 +7,14 @@ builtin first in their MRO, so existing ``except ValueError`` /
 ``except OSError`` call sites continue to work.
 
 The classes used to be defined ad hoc in the modules that raise them
-(``repro.core.verifier``, ``repro.runtime.loader``, ...).  Importing
-them from those old locations still works for one release but emits a
-:class:`DeprecationWarning`; import from :mod:`repro.errors` (or the
-package roots, which re-export the common ones) instead.
+(``repro.core.verifier``, ``repro.runtime.loader``, ...); those old
+locations no longer export them.  Import from :mod:`repro.errors` (or
+the package roots, which re-export the common ones) instead.
 """
 
 from __future__ import annotations
 
 import errno as _errno
-import warnings as _warnings
 
 __all__ = [
     "ReproError",
@@ -127,28 +125,3 @@ class VfsError(OSError, ReproError):
     def __init__(self, err: int, path: str = ""):
         super().__init__(err, _errno.errorcode.get(err, str(err)), path)
         self.err = err
-
-
-def deprecated_reexport(module_name: str, exports: dict):
-    """Module ``__getattr__`` factory for the one-release import shims.
-
-    The old defining modules install this so ``from repro.core.verifier
-    import VerificationError`` keeps resolving — with a warning — while
-    the canonical home is :mod:`repro.errors`.
-    """
-
-    def __getattr__(name: str):
-        target = exports.get(name)
-        if target is None:
-            raise AttributeError(
-                f"module {module_name!r} has no attribute {name!r}"
-            )
-        _warnings.warn(
-            f"importing {name} from {module_name} is deprecated; "
-            f"use repro.errors.{name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target
-
-    return __getattr__

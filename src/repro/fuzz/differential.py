@@ -152,7 +152,8 @@ def mutant_elf(elf: ElfImage, text: bytes) -> ElfImage:
     return ElfImage(entry=elf.entry, segments=segments)
 
 
-def slot_machine(elf: ElfImage, engine=None, model=None) -> Machine:
+def slot_machine(elf: ElfImage, engine: Optional[EngineConfig] = None,
+                 model=None) -> Machine:
     """Map ``elf`` into the differential slot; return a ready machine.
 
     Mirrors the runtime loader: segments land at ``SLOT.base + vaddr``, a

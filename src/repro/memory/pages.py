@@ -148,9 +148,6 @@ class PagedMemory:
                 self._cow.discard(page)
                 self.cow_copies += 1
 
-    def is_mapped(self, address: int) -> bool:
-        return (address // self.page_size) in self._pages
-
     def pages_in_range(self, lo: int, hi: int) -> int:
         """Number of mapped pages whose base lies in ``[lo, hi)``.
 

@@ -102,8 +102,7 @@ def run_variant(asm: str, bss_size: int, variant: Variant,
     """Compile one variant of a workload and run it to completion.
 
     ``engine`` takes an :class:`~repro.engine.EngineConfig` (or None for
-    the default superblock engine; a bare kind string still works behind
-    a deprecation shim).
+    the default superblock engine).
     """
     elf = variant.compile(asm, bss_size)
     runtime = Runtime(model=model, tlb_walk_scale=variant.tlb_walk_scale,

@@ -115,8 +115,8 @@ class Runtime:
                  tlb_walk_scale: float = 1.0,
                  engine=None):
         #: The validated engine selection + tuning.  ``engine`` accepts an
-        #: :class:`~repro.engine.EngineConfig` (canonical), ``None`` (the
-        #: defaults), or — deprecated, one release — a bare kind string.
+        #: :class:`~repro.engine.EngineConfig`, a config dict, or ``None``
+        #: (the defaults).
         config = EngineConfig.coerce(engine)
         self.engine_config = config
         #: Whether the vectored BATCH runtime call is serviced (the
@@ -619,7 +619,7 @@ class Runtime:
     def _springboard(self, entry: int):
         """Service a fused runtime call without unwinding the engine.
 
-        Called by the superblock dispatch loops when a fused
+        Called by the superblock dispatch loop when a fused
         ``ldr x30, [x21, #n]; blr x30`` pair lands on a registered host
         entry.  Replicates the ``HostCallTrap`` path of :meth:`_run_one`
         byte-for-byte — save, slice trace emission, dispatch (which

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import EngineConfig
 from repro.memory import PAGE_SIZE, PERM_R, PERM_RW, PagedMemory
 from repro.runtime import Runtime, RuntimeCall
 from repro.toolchain import compile_lfi
@@ -130,17 +131,17 @@ class TestCowFork:
 class TestForkSuperblocks:
     """Fork interacts with the superblock cache per-slot (DESIGN.md §10)."""
 
-    def _run_forked(self, engine):
-        runtime = Runtime(engine=engine)
+    def _run_forked(self, kind):
+        runtime = Runtime(engine=EngineConfig(kind=kind))
         parent = runtime.spawn(compile_lfi(FORK_PROGRAM).elf)
         runtime.run()
         return runtime, parent
 
     def test_fork_program_identical_across_engines(self):
         results = {}
-        for engine in ("stepping", "superblock"):
-            runtime, parent = self._run_forked(engine)
-            results[engine] = (
+        for kind in ("stepping", "superblock"):
+            runtime, parent = self._run_forked(kind)
+            results[kind] = (
                 parent.exit_code,
                 runtime.machine.instret,
                 [(f.kind, f.detail) for f in runtime.faults],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import EngineConfig
 from repro.arm64 import parse_assembly
 from repro.arm64.assembler import assemble
 from repro.elf import build_elf
@@ -472,7 +473,7 @@ class TestCodeInvalidation:
         elf = build_elf(assemble(parse_assembly(self.SOURCE)))
         memory = PagedMemory()
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory, engine=EngineConfig(kind="superblock"))
         machine.cpu.pc = elf.entry
         return machine, elf, HltTrap
 

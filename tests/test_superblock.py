@@ -3,9 +3,10 @@
 The superblock engine (DESIGN.md §10) is a pure execution-strategy
 change: translated straight-line blocks with fused guard sequences must
 be architecturally invisible.  Every test here runs the same program
-under ``engine="stepping"`` and ``engine="superblock"`` and demands
-bit-identical observables: final registers, memory, retired-instruction
-counts, modeled cycles, faults, and exported traces.
+under ``EngineConfig(kind="stepping")`` and
+``EngineConfig(kind="superblock")`` and demands bit-identical
+observables: final registers, memory, retired-instruction counts,
+modeled cycles, faults, and exported traces.
 """
 
 from __future__ import annotations
@@ -15,21 +16,26 @@ import pathlib
 
 import pytest
 
+from repro import EngineConfig
 from repro.core import O0, O2
 from repro.emulator import APPLE_M1, Machine, OutOfFuel
+from repro.emulator.superblock import _COMPILE_MAX_OPS, _COMPILE_THRESHOLD
 from repro.memory import PagedMemory
 from repro.obs import GuardProfiler, Tracer
 from repro.obs.chrome import export_chrome_trace
 from repro.perf import lfi_variant, native_variant, run_variant
-from repro.runtime import Runtime
+from repro.runtime import Runtime, RuntimeCall
 from repro.toolchain import compile_lfi
 from repro.workloads import WASM_SUBSET
+from repro.workloads.rtlib import prologue, rt_exit, rtcall
 from repro.workloads.spec import arena_bss_size, build_benchmark
 
 from .conftest import load_elf_into
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
-ENGINES = ("stepping", "superblock")
+STEPPING = EngineConfig(kind="stepping")
+SUPERBLOCK = EngineConfig(kind="superblock")
+ENGINES = (STEPPING, SUPERBLOCK)
 
 
 def corpus_programs():
@@ -42,7 +48,8 @@ def corpus_programs():
     return out
 
 
-def observables(engine: str, elf, model=None, timeslice: int = 50_000):
+def observables(engine: EngineConfig, elf, model=None,
+                timeslice: int = 50_000):
     """Run ``elf`` to completion under ``engine``; return all observables."""
     runtime = Runtime(model=model, timeslice=timeslice, engine=engine)
     proc = runtime.spawn(elf)
@@ -67,16 +74,16 @@ class TestCorpusDifferential:
     @pytest.mark.parametrize("options", [O0, O2], ids=["O0", "O2"])
     def test_corpus_program_identical(self, source, options):
         elf = compile_lfi(source, options=options).elf
-        stepping = observables("stepping", elf, model=APPLE_M1)
-        superblock = observables("superblock", elf, model=APPLE_M1)
+        stepping = observables(STEPPING, elf, model=APPLE_M1)
+        superblock = observables(SUPERBLOCK, elf, model=APPLE_M1)
         assert stepping == superblock
 
     @pytest.mark.parametrize("source", corpus_programs())
     def test_corpus_program_identical_under_preemption(self, source):
         """A tiny odd timeslice forces blocks to split on fuel exhaustion."""
         elf = compile_lfi(source, options=O2).elf
-        stepping = observables("stepping", elf, timeslice=7)
-        superblock = observables("superblock", elf, timeslice=7)
+        stepping = observables(STEPPING, elf, timeslice=7)
+        superblock = observables(SUPERBLOCK, elf, timeslice=7)
         assert stepping == superblock
 
 
@@ -89,7 +96,8 @@ class TestTable4Differential:
         for variant in (native_variant(), lfi_variant(O2, "LFI O2")):
             for engine in ENGINES:
                 m = run_variant(asm, bss, variant, APPLE_M1, engine=engine)
-                runs[(variant.name, engine)] = (m.instructions, m.cycles)
+                runs[(variant.name, engine.kind)] = (m.instructions,
+                                                     m.cycles)
             assert runs[(variant.name, "stepping")] \
                 == runs[(variant.name, "superblock")]
 
@@ -106,8 +114,8 @@ class TestObservability:
         asm = build_benchmark("505.mcf", target_instructions=10_000)
         elf = compile_lfi(asm, options=O2,
                           bss_size=arena_bss_size("505.mcf")).elf
-        a, _ = self._traced_run(elf, "stepping")
-        b, _ = self._traced_run(elf, "superblock")
+        a, _ = self._traced_run(elf, STEPPING)
+        b, _ = self._traced_run(elf, SUPERBLOCK)
         assert a == b
 
     def test_profiler_telescopes_on_superblock_runtime(self):
@@ -126,8 +134,56 @@ class TestObservability:
             elapsed = runtime.machine.cycles - profiler.start_cycles
             assert sum(profiler.breakdown().values()) \
                 == pytest.approx(elapsed, abs=1e-9)
-            breakdowns[engine] = (profiler.breakdown(), proc.registers)
+            breakdowns[engine.kind] = (profiler.breakdown(),
+                                       proc.registers)
         assert breakdowns["stepping"] == breakdowns["superblock"]
+
+    def test_fused_call_cold_then_hot_matches_stepping(self):
+        """A fused runtime-call block is stepped while cold, so its call
+        reaches the runtime through ``HostCallTrap``, and springboarded
+        once compiled.  Both paths must leave trace events, profiler
+        buckets and state identical to stepping."""
+        iterations = 3 * _COMPILE_THRESHOLD
+        asm = (prologue() + f"\tmov x20, #{iterations}\nloop:\n"
+               + rtcall(RuntimeCall.GETPID)
+               + "\tsub x20, x20, #1\n\tcbnz x20, loop\n" + rt_exit())
+        elf = compile_lfi(asm, options=O2).elf
+
+        def traced(engine):
+            runtime = Runtime(model=APPLE_M1, engine=engine)
+            inner = runtime.machine.springboard
+            springboarded = []
+
+            def counting(entry):
+                springboarded.append(entry)
+                return inner(entry)
+
+            runtime.machine.springboard = counting
+            tracer = Tracer(record=True).attach(runtime)
+            proc = runtime.spawn(elf)
+            runtime.run()
+            tracer.detach()
+            observed = (tracer.events, runtime.machine.cycles,
+                        runtime.machine.instret, proc.registers,
+                        proc.exit_code)
+            return observed, len(springboarded), runtime.machine._sb
+
+        def profiled(engine):
+            runtime = Runtime(model=APPLE_M1, engine=engine)
+            profiler = GuardProfiler().attach(runtime)
+            runtime.spawn(elf)
+            runtime.run()
+            profiler.detach()
+            return profiler.breakdown()
+
+        stepping, _, _ = traced(STEPPING)
+        superblock, springboarded, sb = traced(SUPERBLOCK)
+        assert superblock == stepping
+        assert sb.fused_calls >= 1 and sb.compiled_blocks >= 1
+        # Cold executions took the HostCallTrap path, hot ones the
+        # springboard.
+        assert 0 < springboarded < iterations
+        assert profiled(SUPERBLOCK) == profiled(STEPPING)
 
     def test_step_probe_forces_per_instruction_fallback(self):
         """While a probe is registered, no block is ever dispatched."""
@@ -150,7 +206,7 @@ class TestObservability:
 
         elf = build_elf(assemble(parse_assembly(asm)))
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory, engine=SUPERBLOCK)
         machine.cpu.pc = elf.entry
         seen = []
         machine.add_step_probe(
@@ -163,7 +219,8 @@ class TestObservability:
 
 
 class TestFuel:
-    def _machine(self, body: str) -> Machine:
+    def _machine(self, body: str, engine: EngineConfig,
+                 model=None) -> Machine:
         from repro.arm64 import parse_assembly
         from repro.arm64.assembler import assemble
         from repro.elf import build_elf
@@ -171,10 +228,35 @@ class TestFuel:
         elf = build_elf(assemble(parse_assembly(body)))
         memory = PagedMemory()
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory, model=model, engine=engine)
         machine.cpu.pc = elf.entry
         return machine
 
+    def _lockstep(self, body: str, fuel: int, model=None):
+        """Run ``body`` in slices of ``fuel`` under both engines,
+        comparing every observable at every slice boundary; yields the
+        superblock machine after each slice, until the final ``hlt``."""
+        from repro.emulator import HltTrap
+
+        stepper = self._machine(body, STEPPING, model)
+        blocky = self._machine(body, SUPERBLOCK, model)
+        while True:
+            outcomes = []
+            for machine in (stepper, blocky):
+                with pytest.raises((OutOfFuel, HltTrap)) as exc:
+                    machine.run(fuel=fuel)
+                outcomes.append(exc.type)
+            assert outcomes[0] is outcomes[1]
+            assert blocky.instret == stepper.instret
+            assert blocky.cpu.pc == stepper.cpu.pc
+            assert blocky.cpu.regs == stepper.cpu.regs
+            assert blocky.cycles == stepper.cycles
+            yield blocky
+            if outcomes[0] is HltTrap:
+                return
+
+    #: The entry block is ``mov; mov; add; sub; cbnz`` (5 instructions),
+    #: then the 3-instruction loop block runs 99 more times.
     BODY = """
         .globl _start
     _start:
@@ -187,27 +269,44 @@ class TestFuel:
         hlt
     """
 
-    @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 7, 64])
-    def test_block_never_overruns_fuel(self, fuel):
+    @pytest.mark.parametrize("model", [None, APPLE_M1],
+                             ids=["uncosted", "M1"])
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 6, 7, 26, 64])
+    def test_block_never_overruns_fuel(self, fuel, model):
         """Every slice of ``fuel`` retires exactly ``fuel`` instructions,
-        matching the stepping contract instruction-for-instruction."""
-        from repro.emulator import HltTrap
+        matching the stepping contract instruction-for-instruction; under
+        a cost model, slices that split cold (stepped) and hot (compiled)
+        blocks keep cycles bit-identical too."""
+        for _ in self._lockstep(self.BODY, fuel, model):
+            pass
 
-        stepper = self._machine(self.BODY)
-        stepper.engine = "stepping"
-        blocky = self._machine(self.BODY)
-        for _ in range(20):
-            outcomes = []
-            for machine in (stepper, blocky):
-                with pytest.raises((OutOfFuel, HltTrap)) as exc:
-                    machine.run(fuel=fuel)
-                outcomes.append(exc.type)
-            assert outcomes[0] is outcomes[1]
-            assert blocky.instret == stepper.instret
-            assert blocky.cpu.pc == stepper.cpu.pc
-            assert blocky.cpu.regs == stepper.cpu.regs
-            if outcomes[0] is HltTrap:
-                break
+    @pytest.mark.parametrize("extra, compiled", [(0, 1), (1, 0)],
+                             ids=["on-compile", "inside-8th"])
+    def test_split_at_the_compiling_execution(self, extra, compiled):
+        """The first slice ends right after the loop block's compiling
+        (``_COMPILE_THRESHOLD``-th) execution, or one instruction into
+        where it would start, so the stepping tail retires it instead."""
+        k = _COMPILE_THRESHOLD - extra
+        slices = self._lockstep(self.BODY, 5 + 3 * k + extra, APPLE_M1)
+        assert next(slices)._sb.compiled_blocks == compiled
+        blocky = None
+        for blocky in slices:
+            pass
+        assert blocky._sb.compiled_blocks >= 1
+
+    def test_block_longer_than_compile_max_ops_compiles(self):
+        """Translation caps blocks at ``_COMPILE_MAX_OPS`` instructions,
+        so a longer straight-line loop body still compiles once hot."""
+        body = (".globl _start\n_start:\n    mov x1, #10\nloop:\n"
+                + "    add x0, x0, #1\n" * (_COMPILE_MAX_OPS + 44)
+                + "    sub x1, x1, #1\n    cbnz x1, loop\n    hlt\n")
+        blocky = None
+        for blocky in self._lockstep(body, 1 << 20, APPLE_M1):
+            pass
+        blocks = list(blocky._sb._blocks.values())
+        assert max(len(b.ops) for b in blocks) == _COMPILE_MAX_OPS
+        assert any(len(b.ops) == _COMPILE_MAX_OPS and b.fn is not None
+                   for b in blocks)
 
 
 class TestInvalidation:
@@ -215,7 +314,7 @@ class TestInvalidation:
         asm = build_benchmark("505.mcf", target_instructions=5_000)
         elf = compile_lfi(asm, options=O2,
                           bss_size=arena_bss_size("505.mcf")).elf
-        runtime = Runtime(engine="superblock")
+        runtime = Runtime(engine=SUPERBLOCK)
         proc = runtime.spawn(elf)
         return runtime, proc
 
@@ -249,7 +348,7 @@ class TestInvalidation:
         asm = build_benchmark("505.mcf", target_instructions=5_000)
         elf = compile_lfi(asm, options=O2,
                           bss_size=arena_bss_size("505.mcf")).elf
-        runtime = Runtime(engine="superblock")
+        runtime = Runtime(engine=SUPERBLOCK)
         first = runtime.spawn(elf)
         second = runtime.spawn(elf)
         runtime.run()
