@@ -34,7 +34,8 @@ from .operands import (
 )
 from .registers import INDEX_31, Reg, V, gpr_or_sp, gpr_or_zr, vec
 
-__all__ = ["decode_word", "decode_text", "decoder_names", "decoding_class"]
+__all__ = ["decode_word", "decode_text", "decoder_names", "decoding_class",
+           "PC_RELATIVE_CLASSES"]
 
 _EXTEND_NAMES = ["uxtb", "uxth", "uxtw", "uxtx", "sxtb", "sxth", "sxtw", "sxtx"]
 _SHIFT_NAMES = ["lsl", "lsr", "asr", "ror"]
@@ -909,6 +910,13 @@ def _dec_dup(word: int, pc: int) -> Optional[Instruction]:
     rn = gpr_or_zr(_bits(word, 9, 5), gbits)
     return Instruction("dup", (VecReg(V[_bits(word, 4, 0)], arrangement), rn))
 
+
+#: Decoding classes whose result depends on the ``pc`` argument (branch
+#: targets and adr/adrp results are decoded to absolute addresses).  Every
+#: other class decodes a word identically at any pc, so decodes of those
+#: words may be shared between addresses (the emulator's word-keyed memo).
+PC_RELATIVE_CLASSES = frozenset(
+    {"branch_imm", "branch_cond", "cb", "tb", "adr"})
 
 _DECODERS = (
     _dec_system,

@@ -60,7 +60,13 @@ _LO12_RE = re.compile(r"^:lo12:([A-Za-z_.$][\w.$]*)$")
 
 
 def _strip_comments(line: str) -> str:
-    line = re.sub(r"/\*.*?\*/", " ", line)
+    """``line`` without ``/* */``, ``//`` and ``@`` comments, stripped.
+
+    Comment markers inside ``"..."`` strings are string contents.  Most
+    lines hold no quote, so they take the plain ``str.find`` path.
+    """
+    if "/*" in line:
+        line = _strip_block_comments(line)
     for marker in ("//", "@"):
         idx = _find_outside_quotes(line, marker)
         if idx >= 0:
@@ -68,17 +74,42 @@ def _strip_comments(line: str) -> str:
     return line.strip()
 
 
-def _find_outside_quotes(line: str, marker: str) -> int:
-    in_quote = False
-    i = 0
-    while i < len(line) - len(marker) + 1:
-        c = line[i]
-        if c == '"':
-            in_quote = not in_quote
-        elif not in_quote and line.startswith(marker, i):
-            return i
-        i += 1
-    return -1
+def _strip_block_comments(line: str) -> str:
+    """Replace each one-line ``/* ... */`` outside quotes with a space."""
+    out: List[str] = []
+    pos = 0
+    while True:
+        opening = _find_outside_quotes(line, "/*", pos)
+        if opening < 0:
+            break
+        closing = line.find("*/", opening + 2)
+        if closing < 0:
+            break
+        out.append(line[pos:opening])
+        out.append(" ")
+        pos = closing + 2
+    out.append(line[pos:])
+    return "".join(out)
+
+
+def _find_outside_quotes(line: str, marker: str, start: int = 0) -> int:
+    """Index of the first ``marker`` at or after ``start`` that is not
+    inside a ``"..."`` string, or -1.  ``start`` must lie outside quotes.
+
+    ``marker`` never contains a quote, so a match that begins before a
+    quote also ends before it: each unquoted stretch is one ``str.find``.
+    """
+    while True:
+        quote = line.find('"', start)
+        if quote < 0:
+            return line.find(marker, start)
+        idx = line.find(marker, start, quote)
+        if idx >= 0:
+            return idx
+        close = line.find('"', quote + 1)
+        if close < 0:
+            return -1
+        start = close + 1
 
 
 def _split_top_level(text: str, sep: str = ",") -> List[str]:

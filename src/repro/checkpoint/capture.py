@@ -218,29 +218,24 @@ def capture_job(
         slot_ord = ordinal[proc.pid]
         base_page = base // ps
 
-        regions: List[Tuple[int, int, int]] = []
-        for rbase, rsize, rperms in memory.mapped_regions():
-            lo = max(rbase, base)
-            hi = min(rbase + rsize, end)
-            if lo >= hi:
-                continue
-            regions.append((lo - base, hi - lo, rperms))
-            for page in range(lo // ps, hi // ps):
-                key = (slot_ord, page - base_page)
-                buf = memory._pages[page]
-                if refs is not None and refs.get(key) is buf:
-                    data = cached[key]
-                else:
-                    data = bytes(buf)
-                    dirty += 1
-                if refs is not None:
-                    refs[key] = buf
-                    cached[key] = data
-                    # Mark the page COW: a guest write now copies the
-                    # storage out, so next capture's identity check sees
-                    # a different bytearray exactly for dirtied pages.
-                    memory._cow.add(page)
-                pages[key] = data
+        regions: List[Tuple[int, int, int]] = [
+            (rbase - base, rsize, rperms)
+            for rbase, rsize, rperms in memory.mapped_regions(base, end)]
+        for addr, _perms, buf in memory.page_items(base, end):
+            key = (slot_ord, addr // ps - base_page)
+            if refs is not None and refs.get(key) is buf:
+                data = cached[key]
+            else:
+                data = bytes(buf)
+                dirty += 1
+            if refs is not None:
+                refs[key] = buf
+                cached[key] = data
+                # Mark the page COW: a guest write now copies the storage
+                # out, so next capture's identity check sees a different
+                # bytearray exactly for dirtied pages.
+                memory.mark_cow(addr)
+            pages[key] = data
 
         block_pipe = (pipe_id(proc.block_pipe)
                       if proc.block_pipe is not None else None)
@@ -462,15 +457,10 @@ def memory_digest(memory: PagedMemory, layout: SandboxLayout) -> str:
     contents digest identically wherever they live.
     """
     sha = hashlib.sha256()
-    lo, hi = layout.base, layout.end
+    lo = layout.base
     wlo, whi = _window(layout)
-    ps = memory.page_size
-    for page in sorted(memory._pages):
-        addr = page * ps
-        if not lo <= addr < hi:
-            continue
-        buf = memory._pages[page]
-        sha.update(struct.pack("<QQ", addr - lo, memory._perms[page]))
+    for addr, perms, buf in memory.page_items(lo, layout.end):
+        sha.update(struct.pack("<QQ", addr - lo, perms))
         for word, in struct.iter_unpack("<Q", buf):
             if wlo <= word < whi:
                 sha.update(b"P")

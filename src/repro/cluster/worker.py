@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 from ..checkpoint import Checkpoint, CheckpointSession, restore_job
 from ..errors import Deadlock, RuntimeError_
-from ..memory.layout import SandboxLayout
 from ..obs.metrics import MetricsHub
 from ..obs.tracer import Tracer
 from ..robustness.faultinject import FaultInjector
@@ -107,7 +106,7 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     Abandoning the generator (``close()``) skips the cleanup: that models
     a worker crash, where the whole runtime is discarded.
     """
-    slot_start = runtime._next_slot
+    slot_mark = runtime.allocation_mark()
     pid_start = runtime._next_pid
     hub = MetricsHub()
     consumed = 0
@@ -210,7 +209,7 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
             "job_id": job["job_id"],
             "checkpoint": yielded.to_bytes(),
         }
-        _cleanup(runtime, pool, slot_start, pid_start)
+        _cleanup(runtime, pool, slot_mark, pid_start)
         return payload
 
     stderr = proc.fds[2].text() if 2 in proc.fds else ""
@@ -236,7 +235,7 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     if restore_s is not None:
         payload["diag"]["restore_s"] = restore_s
         payload["diag"]["resumed_at"] = consumed
-    _cleanup(runtime, pool, slot_start, pid_start)
+    _cleanup(runtime, pool, slot_mark, pid_start)
     return payload
 
 
@@ -279,19 +278,18 @@ def _kill_live(runtime: Runtime, code: int) -> None:
 
 
 def _cleanup(runtime: Runtime, pool: Optional[WarmPool],
-             slot_start: int, pid_start: int) -> None:
+             slot_mark: int, pid_start: int) -> None:
     """Tear down everything the finished job left behind, deterministically.
 
-    Slots are swept by allocation watermark, not by surviving processes —
-    a fork child reaped by ``wait`` is gone from the process table but its
+    Slots are swept by allocation mark, not by surviving processes — a
+    fork child reaped by ``wait`` is gone from the process table but its
     slot is still mapped.  Pool-owned template slots are exempt.
     """
     _kill_live(runtime, 128 + 9)
     for pid in sorted(runtime.processes):
         runtime.reap(runtime.processes[pid])
     keep = pool.template_slots() if pool is not None else set()
-    for slot in range(slot_start, runtime._next_slot):
-        layout = SandboxLayout.for_slot(slot)
+    for layout in runtime.slots_allocated_since(slot_mark):
         if layout.base in keep:
             continue
         runtime.reclaim_slot(layout)

@@ -17,7 +17,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..arm64 import isa
-from ..arm64.decoder import decode_word
+from ..arm64.decoder import PC_RELATIVE_CLASSES, decode_word, decoding_class
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import (
     Extended,
@@ -103,6 +103,11 @@ class HostCallTrap(Trap):
 
 class OutOfFuel(Exception):
     """The run() fuel budget was exhausted (used for preemption)."""
+
+
+#: Bound on :meth:`Machine._decode`'s word-keyed memo (oldest entry out
+#: first).  A serving lane holds about fifty distinct words.
+_DECODE_MEMO_CAP = 4096
 
 
 def _to_signed(value: int, bits: int) -> int:
@@ -239,6 +244,11 @@ class Machine:
         self._costing = _Costing(model, tlb) if model else None
         self._decode_cache: Dict[int, Tuple[Instruction, Callable, str,
                                             Tuple, Tuple]] = {}
+        #: Word -> shared decode entry for words whose decoding does not
+        #: depend on pc, or ``None`` for a pc-relative word.  Keyed by
+        #: content, so it never needs invalidating; lets a clone in a
+        #: fresh slot reuse its template's decodes.
+        self._decode_memo: Dict[int, Optional[Tuple]] = {}
         self._host_entries: Dict[int, object] = {}
         #: Multi-subscriber hook fired at the top of every :meth:`run`
         #: slice with ``(machine, fuel)``.  Fault injectors use it to
@@ -353,22 +363,35 @@ class Machine:
                 word = self.memory.fetch(pc)
             except MemoryFault as fault:
                 raise MemTrap(pc, fault) from None
-            inst = decode_word(word, pc)
-            if inst is None:
-                raise UnknownInstructionTrap(pc, word)
-            handler = self._exec.get(inst.base)
-            if handler is None:
-                raise UnknownInstructionTrap(pc, word)
-            klass = _classify(inst)
-            uses = tuple(
-                k for k in (_reg_key(r) for r in inst.uses()) if k is not None
-            )
-            defs = tuple(
-                k for k in (_reg_key(r) for r in inst.defs()) if k is not None
-            )
-            cached = (inst, handler, klass, uses, defs)
+            memo = self._decode_memo
+            cached = memo.get(word)
+            if cached is None:
+                cached = self._decode_word(word, pc)
+                if word not in memo:
+                    if len(memo) >= _DECODE_MEMO_CAP:
+                        del memo[next(iter(memo))]
+                    memo[word] = (None if decoding_class(word)
+                                  in PC_RELATIVE_CLASSES else cached)
             self._decode_cache[pc] = cached
         return cached
+
+    def _decode_word(self, word: int, pc: int) -> Tuple[
+            Instruction, Callable, str, Tuple, Tuple]:
+        """Build the decode entry for ``word`` fetched at ``pc``."""
+        inst = decode_word(word, pc)
+        if inst is None:
+            raise UnknownInstructionTrap(pc, word)
+        handler = self._exec.get(inst.base)
+        if handler is None:
+            raise UnknownInstructionTrap(pc, word)
+        klass = _classify(inst)
+        uses = tuple(
+            k for k in (_reg_key(r) for r in inst.uses()) if k is not None
+        )
+        defs = tuple(
+            k for k in (_reg_key(r) for r in inst.defs()) if k is not None
+        )
+        return (inst, handler, klass, uses, defs)
 
     def step(self) -> None:
         cpu = self.cpu

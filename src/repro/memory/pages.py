@@ -10,7 +10,9 @@ for stack-pointer guard elision and write protection of code.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+from .layout import SANDBOX_BITS
 
 __all__ = [
     "PERM_R",
@@ -68,6 +70,12 @@ class PagedMemory:
         self.va_limit = 1 << va_bits
         self._pages: Dict[int, bytearray] = {}
         self._perms: Dict[int, int] = {}
+        #: Per-slot index: 4GiB granule (``SANDBOX_BITS``) -> the mapped
+        #: page numbers in it.  Kept current by every mapping change so
+        #: per-slot queries cost O(pages in the slot), not O(all pages).
+        #: A granule with no mapped page has no entry.
+        self._slot_pages: Dict[int, Set[int]] = {}
+        self._granule_shift = SANDBOX_BITS - (page_size.bit_length() - 1)
         #: Pages whose storage is shared and must be copied before a write
         #: (single-address-space copy-on-write fork, paper §5.3).
         self._cow: set = set()
@@ -103,6 +111,7 @@ class PagedMemory:
         for page in self._page_range(address, size):
             if page not in self._pages:
                 self._pages[page] = bytearray(self.page_size)
+                self._index_add(page)
             self._perms[page] = perms
         self._notify_map_change(address, size)
 
@@ -116,7 +125,8 @@ class PagedMemory:
 
     def unmap(self, address: int, size: int) -> None:
         for page in self._page_range(address, size):
-            self._pages.pop(page, None)
+            if self._pages.pop(page, None) is not None:
+                self._index_remove(page)
             self._perms.pop(page, None)
             self._cow.discard(page)
         self._notify_map_change(address, size)
@@ -135,11 +145,27 @@ class PagedMemory:
             if s not in self._pages:
                 raise ValueError(f"source page {s * self.page_size:#x} "
                                  f"not mapped")
+            if d not in self._pages:
+                self._index_add(d)
             self._pages[d] = self._pages[s]
             self._perms[d] = self._perms[s] if perms is None else perms
             self._cow.add(s)
             self._cow.add(d)
         self._notify_map_change(dst, size)
+
+    def _index_add(self, page: int) -> None:
+        granule = page >> self._granule_shift
+        pages = self._slot_pages.get(granule)
+        if pages is None:
+            pages = self._slot_pages[granule] = set()
+        pages.add(page)
+
+    def _index_remove(self, page: int) -> None:
+        granule = page >> self._granule_shift
+        pages = self._slot_pages[granule]
+        pages.discard(page)
+        if not pages:
+            del self._slot_pages[granule]
 
     def _break_cow(self, first_page: int, last_page: int) -> None:
         for page in range(first_page, last_page + 1):
@@ -148,34 +174,121 @@ class PagedMemory:
                 self._cow.discard(page)
                 self.cow_copies += 1
 
+    def _page_bounds(self, lo: int, hi: int) -> Tuple[int, int]:
+        """Page numbers ``[first, end)`` of the pages based in [lo, hi)."""
+        ps = self.page_size
+        return -(-lo // ps), -(-hi // ps)
+
+    def _index_sets(self, first: int,
+                    end: int) -> Iterator[Tuple[Set[int], bool]]:
+        """The index sets holding the mapped pages numbered [first, end).
+
+        Yields ``(pages, whole)`` per occupied granule, in address order;
+        ``whole`` says the granule lies entirely inside the range, so its
+        set needs no filtering.
+        """
+        if first >= end:
+            return
+        shift = self._granule_shift
+        g0, g1 = first >> shift, (end - 1) >> shift
+        index = self._slot_pages
+        if g1 - g0 < len(index):
+            granules = range(g0, g1 + 1)
+        else:
+            granules = sorted(g for g in index if g0 <= g <= g1)
+        for granule in granules:
+            pages = index.get(granule)
+            if pages is not None:
+                yield pages, (first <= granule << shift
+                              and (granule + 1) << shift <= end)
+
+    def _pages_between(self, lo: int, hi: int) -> List[int]:
+        """Sorted page numbers of the mapped pages based in ``[lo, hi)``."""
+        first, end = self._page_bounds(lo, hi)
+        out: List[int] = []
+        for pages, whole in self._index_sets(first, end):
+            if whole:
+                out.extend(pages)
+            else:
+                out.extend(p for p in pages if first <= p < end)
+        out.sort()
+        return out
+
     def pages_in_range(self, lo: int, hi: int) -> int:
         """Number of mapped pages whose base lies in ``[lo, hi)``.
 
         Used by the runtime to enforce per-sandbox mapped-page quotas at
-        the memory boundary.
+        the memory boundary.  Answered from the per-slot index: a whole
+        slot costs O(1), a partial one O(pages in the slot).
         """
-        ps = self.page_size
-        return sum(1 for page in self._pages if lo <= page * ps < hi)
+        first, end = self._page_bounds(lo, hi)
+        count = 0
+        for pages, whole in self._index_sets(first, end):
+            if whole:
+                count += len(pages)
+            else:
+                count += sum(1 for p in pages if first <= p < end)
+        return count
 
     def perms_at(self, address: int) -> int:
         return self._perms.get(address // self.page_size, PERM_NONE)
 
-    def mapped_regions(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (base, size, perms) for maximal contiguous mapped runs."""
-        pages = sorted(self._pages)
+    def mapped_regions(self, lo: Optional[int] = None,
+                       hi: Optional[int] = None
+                       ) -> Iterator[Tuple[int, int, int]]:
+        """Yield (base, size, perms) for maximal contiguous mapped runs.
+
+        With no bounds this scans the whole address space, so a run may
+        cross a slot boundary (the containment auditor looks for exactly
+        that).  With bounds only pages based in ``[lo, hi)`` are
+        considered, read from the per-slot index in O(pages in range):
+        the result equals the global runs clipped to the range.  The runs
+        are computed before the first yield, so callers may unmap or
+        remap while iterating.
+        """
+        if lo is None:
+            pages = sorted(self._pages)
+        else:
+            pages = self._pages_between(lo, hi)
+        perms_of = self._perms
+        ps = self.page_size
+        runs: List[Tuple[int, int, int]] = []
         i = 0
         while i < len(pages):
             start = pages[i]
-            perms = self._perms[start]
+            perms = perms_of[start]
             j = i
             while (
                 j + 1 < len(pages)
                 and pages[j + 1] == pages[j] + 1
-                and self._perms[pages[j + 1]] == perms
+                and perms_of[pages[j + 1]] == perms
             ):
                 j += 1
-            yield (start * self.page_size, (j - i + 1) * self.page_size, perms)
+            runs.append((start * ps, (j - i + 1) * ps, perms))
             i = j + 1
+        return iter(runs)
+
+    def page_items(self, lo: int, hi: int) -> List[Tuple[int, int, bytearray]]:
+        """``(address, perms, storage)`` of each mapped page based in
+        ``[lo, hi)``, in address order, from the per-slot index.
+
+        ``storage`` is the page's backing buffer itself: pages aliased by
+        :meth:`share_region` return the same object until a write copies
+        one side out, which is what incremental checkpoints compare.
+        Callers must not mutate it.
+        """
+        ps = self.page_size
+        pages, perms = self._pages, self._perms
+        return [(page * ps, perms[page], pages[page])
+                for page in self._pages_between(lo, hi)]
+
+    def mark_cow(self, address: int) -> None:
+        """Make the page at ``address`` copy its storage on the next write.
+
+        Checkpoint capture uses this to detect dirtied pages by buffer
+        identity (DESIGN.md §12).
+        """
+        self._cow.add(address // self.page_size)
 
     # -- access ------------------------------------------------------------
 

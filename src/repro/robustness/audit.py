@@ -112,15 +112,11 @@ class ContainmentAuditor:
     def slot_digest(self, layout: SandboxLayout) -> int:
         """CRC over all mapped pages in a slot (bystander-unperturbed
         assertions while the bystander is descheduled)."""
-        memory = self.runtime.memory
-        ps = memory.page_size
-        lo, hi = layout.base, layout.end
         digest = 0
-        for page in sorted(memory._pages):
-            addr = page * ps
-            if lo <= addr < hi:
-                digest = zlib.crc32(memory._pages[page], digest)
-                digest = zlib.crc32(addr.to_bytes(8, "little"), digest)
+        for addr, _perms, buf in self.runtime.memory.page_items(
+                layout.base, layout.end):
+            digest = zlib.crc32(buf, digest)
+            digest = zlib.crc32(addr.to_bytes(8, "little"), digest)
         return digest
 
     def assert_clean(self) -> None:

@@ -165,11 +165,11 @@ class FaultInjector:
             raise ValueError(f"unknown fault kind {planned.kind!r}")
 
     def _text_regions(self, victim: Process) -> List[Tuple[int, int]]:
-        lo, hi = victim.layout.base, victim.layout.end
         return [
             (base, size)
-            for base, size, perms in self.runtime.memory.mapped_regions()
-            if perms & PERM_X and base >= lo and base + size <= hi
+            for base, size, perms in self.runtime.memory.mapped_regions(
+                victim.layout.base, victim.layout.end)
+            if perms & PERM_X
         ]
 
     def _fire_bitflip(self, victim: Process, param: int) -> None:

@@ -134,7 +134,12 @@ class Runtime:
         self.processes: Dict[int, Process] = {}
         self.faults: List[ProcessFault] = []
         self._next_pid = 1
+        self._first_slot = first_slot
         self._next_slot = first_slot
+        #: Allocated, not yet reclaimed slot -> its allocation sequence
+        #: number (see :meth:`allocation_mark`).
+        self._live_slots: Dict[int, int] = {}
+        self._slot_seq = 0
         self._current: Optional[Process] = None
         self._mmap_cursors: Dict[int, int] = {}
         #: Per-pid pending blocked runtime call number.
@@ -172,11 +177,38 @@ class Runtime:
     # -- spawning ---------------------------------------------------------------
 
     def allocate_slot(self) -> SandboxLayout:
-        if self._next_slot >= MAX_SANDBOXES_48BIT - 1:
-            raise _RuntimeError("out of sandbox slots")
-        layout = SandboxLayout.for_slot(self._next_slot)
-        self._next_slot += 1
-        return layout
+        """A fresh sandbox slot.
+
+        Slots are handed out in increasing order while the bump pointer
+        lasts, so layouts stay deterministic; once it reaches the top of
+        the 48-bit address space (the last slot is the runtime's own),
+        the lowest reclaimed slot is reused.  Raises when every slot is
+        still live.
+        """
+        slot = self._next_slot
+        live = self._live_slots
+        if slot < MAX_SANDBOXES_48BIT - 1:
+            self._next_slot += 1
+        else:
+            slot = self._first_slot
+            while slot in live:
+                slot += 1
+            if slot >= MAX_SANDBOXES_48BIT - 1:
+                raise _RuntimeError("out of sandbox slots")
+        live[slot] = self._slot_seq
+        self._slot_seq += 1
+        return SandboxLayout.for_slot(slot)
+
+    def allocation_mark(self) -> int:
+        """An opaque mark for :meth:`slots_allocated_since`."""
+        return self._slot_seq
+
+    def slots_allocated_since(self, mark: int) -> List[SandboxLayout]:
+        """Live (not yet reclaimed) slots allocated after ``mark``, in
+        slot order."""
+        return [SandboxLayout.for_slot(slot)
+                for slot, seq in sorted(self._live_slots.items())
+                if seq >= mark]
 
     def spawn(self, image, verify: bool = True,
               policy: Optional[VerifierPolicy] = None) -> Process:
@@ -186,16 +218,10 @@ class Runtime:
         the paper's baseline methodology (§6.1): native code still benefits
         from accelerated runtime calls.
         """
-        if isinstance(image, (bytes, bytearray)):
-            image = read_elf(bytes(image))
-        layout = self.allocate_slot()
-        pid = self._next_pid
-        self._next_pid += 1
-        proc = load_image(self.memory, image, layout, pid, verify=verify,
-                          policy=policy, stack_size=self.stack_size)
-        self.processes[pid] = proc
+        proc = self._load(image, verify, policy)
+        self.processes[proc.pid] = proc
         self.scheduler.add(proc)
-        self._emit(ProcessEvent(ts=self.machine.cycles, pid=pid,
+        self._emit(ProcessEvent(ts=self.machine.cycles, pid=proc.pid,
                                 kind="spawn",
                                 detail="native" if not verify else ""))
         return proc
@@ -209,16 +235,26 @@ class Runtime:
         :meth:`spawn_clone` to restore from (warm spawn).  Verification is
         paid here, once, regardless of how many clones follow.
         """
+        proc = self._load(image, verify, policy)
+        self._emit(ProcessEvent(ts=self.machine.cycles, pid=proc.pid,
+                                kind="spawn", detail="template"))
+        return proc
+
+    def _load(self, image, verify: bool,
+              policy: Optional[VerifierPolicy]) -> Process:
+        """Load an image into a fresh slot; a refused image frees it."""
         if isinstance(image, (bytes, bytearray)):
             image = read_elf(bytes(image))
         layout = self.allocate_slot()
         pid = self._next_pid
         self._next_pid += 1
-        proc = load_image(self.memory, image, layout, pid, verify=verify,
-                          policy=policy, stack_size=self.stack_size)
-        self._emit(ProcessEvent(ts=self.machine.cycles, pid=pid,
-                                kind="spawn", detail="template"))
-        return proc
+        try:
+            return load_image(self.memory, image, layout, pid,
+                              verify=verify, policy=policy,
+                              stack_size=self.stack_size)
+        except BaseException:
+            self.reclaim_slot(layout)
+            raise
 
     def spawn_clone(self, template: Process) -> Process:
         """Warm-spawn: snapshot-restore ``template`` into a fresh sandbox.
@@ -313,21 +349,26 @@ class Runtime:
 
         Executable pages are swept out of the translation caches; the
         slot's mmap cursor and quota records are dropped too.  The slot
-        number itself is not recycled (monotonic allocation keeps fork and
-        clone layouts deterministic).
+        number is reused only once fresh slots run out (see
+        :meth:`allocate_slot`): monotonic allocation keeps fork and clone
+        layouts deterministic until then.
         """
         self.reclaim_slot(proc.layout)
         self._mmap_cursors.pop(proc.pid, None)
         self.quotas.pop(proc.pid, None)
 
     def reclaim_slot(self, layout: SandboxLayout) -> None:
-        """Unmap everything in ``layout``'s slot (see :meth:`reclaim`)."""
-        lo, hi = layout.base, layout.end
-        for base, size, perms in list(self.memory.mapped_regions()):
-            if base >= lo and base + size <= hi:
-                self.memory.unmap(base, size)
-                if perms & PERM_X:
-                    self.machine.invalidate_code(base, size)
+        """Unmap everything in ``layout``'s slot (see :meth:`reclaim`).
+
+        Costs O(pages in the slot): the pages come from the memory's
+        per-slot index, not a walk of the whole address space.
+        """
+        self._live_slots.pop(layout.slot, None)
+        for base, size, perms in self.memory.mapped_regions(layout.base,
+                                                            layout.end):
+            self.memory.unmap(base, size)
+            if perms & PERM_X:
+                self.machine.invalidate_code(base, size)
 
     def fork(self, parent: Process,
              cow: bool = True) -> Optional[Process]:
@@ -348,10 +389,9 @@ class Runtime:
         if cow:
             alias_slot(self.memory, parent.layout, layout)
         else:
-            lo, hi = parent.layout.base, parent.layout.end
-            for base, size, perms in list(self.memory.mapped_regions()):
-                if base >= hi or base + size <= lo:
-                    continue
+            lo = parent.layout.base
+            for base, size, perms in self.memory.mapped_regions(
+                    lo, parent.layout.end):
                 offset = base - lo
                 self.memory.map_region(layout.base + offset, size, PERM_RW)
                 data = self.memory._raw_read(base, size)

@@ -208,6 +208,33 @@ value:
         directives = [i for i in program.items if isinstance(i, Directive)]
         assert directives[1].args == ('"hi, there"',)
 
+    @pytest.mark.parametrize("text", [
+        "// not a comment", "user@host", "a; b", "/* kept */",
+        "x // y @ z ; w /* v */", "@", ";", "//",
+    ])
+    def test_comment_markers_inside_strings_are_contents(self, text):
+        src = (f'.ascii "{text}"\n'
+               f'.ascii "{text}" // trailing\n'
+               f'.ascii "{text}" @ trailing\n'
+               f'.ascii "{text}" /* block */\n'
+               f'.ascii "{text}"; mov x0, #1 // after\n'
+               f'/* lead */ .ascii "{text}"\n')
+        program = parse_assembly(src)
+        directives = [i for i in program.items if isinstance(i, Directive)]
+        assert [d.args for d in directives] == [(f'"{text}"',)] * 6
+        assert [i.mnemonic for i in program.instructions()] == ["mov"]
+
+    def test_comment_markers_after_strings(self):
+        program = parse_assembly(
+            '.ascii "a", "b" @ c "d"\n'
+            'mov x0, #1 /* "q" */ ; mov x1, #2 /* x */ // "r\n'
+            '.asciz "s" /* t */ ; ret ; // u\n')
+        directives = [i for i in program.items if isinstance(i, Directive)]
+        assert [d.args for d in directives] == [
+            ('"a"', '"b"'), ('"s"',)]
+        assert [i.mnemonic for i in program.instructions()] \
+            == ["mov", "mov", "ret"]
+
 
 class TestRoundTrip:
     CASES = [

@@ -86,3 +86,44 @@ def test_property_roundtrip(cls, data):
                 label=f.name)
         word |= value << f.lo
     _assert_roundtrip(cls, word)
+
+
+#: Assembled anchors for the decoder classes neither random words nor the
+#: prover's registry reach; their register fields are randomized below.
+_ANCHORS = "rbit x0, x1\nclz w2, w3\ndup v0.4s, w1\nfmov d0, #1.0\n" \
+           "fneg d0, d1\nfsqrt s2, s3\nmovi v0.16b, #1\nnop\nsvc #0\n" \
+           "ror x0, x1, #3\n"
+
+
+def test_pc_relative_classes_are_exactly_the_pc_dependent_ones():
+    """Words outside ``PC_RELATIVE_CLASSES`` decode identically at any
+    pc (so the emulator may share their decodes between slots); words
+    inside it decode differently at two pcs."""
+    from repro.arm64 import parse_assembly
+    from repro.arm64.assembler import assemble
+    from repro.arm64.decoder import PC_RELATIVE_CLASSES
+
+    rng = random.Random(0x5107)
+    words = [rng.getrandbits(32) for _ in range(20_000)]
+    for cls in ALL_CLASSES:
+        words += [_sample_word(cls, rng) for _ in range(32)]
+    text = assemble(parse_assembly(_ANCHORS)).text.data
+    for i in range(0, len(text), 4):
+        anchor = int.from_bytes(text[i:i + 4], "little")
+        words += [anchor] + [anchor ^ rng.getrandbits(10)
+                             for _ in range(32)]
+
+    pc_a, pc_b = 0x1_0000_4000, 0x2_3456_7000
+    seen = set()
+    for word in words:
+        klass = decoding_class(word)
+        if klass is None:
+            continue
+        seen.add(klass)
+        at_a, at_b = decode_word(word, pc_a), decode_word(word, pc_b)
+        if klass in PC_RELATIVE_CLASSES:
+            assert at_a != at_b, f"{word:#010x} ({klass}, {at_a})"
+        else:
+            assert at_a == at_b, f"{word:#010x} ({klass}, {at_a})"
+    assert seen == set(decoder_names())
+    assert PC_RELATIVE_CLASSES <= seen

@@ -393,3 +393,69 @@ class TestInvalidation:
             for s in text_blocks
             if target <= s < target + page
         )
+
+
+class TestWarmClones:
+    """Two clones of one template in fresh slots (warm spawn).
+
+    The second clone's decodes come from the machine's word-keyed memo
+    (DESIGN.md §10): only pc-relative words are decoded again at the new
+    addresses, and both engines still match stepping bit-exactly."""
+
+    LOOP = prologue() + f"""
+        mov x20, #{3 * _COMPILE_THRESHOLD}
+        mov x3, #0
+        adrp x19, buf
+        add x19, x19, :lo12:buf
+    loop:
+        lsl x1, x20, #3
+        str x20, [x19, x1]
+        ldr x2, [x19, x1]
+        add x3, x3, x2
+    """ + rtcall(RuntimeCall.GETPID) + """
+        sub x20, x20, #1
+        cbnz x20, loop
+        and x0, x3, #0xff
+    """ + rt_exit() + """
+    .data
+    buf: .skip 512
+    """
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1], ids=["none", "m1"])
+    def test_second_clone_reuses_decodes(self, model, monkeypatch):
+        import repro.emulator.machine as machine_mod
+        from repro.arm64.decoder import PC_RELATIVE_CLASSES, decoding_class
+        from repro.checkpoint import memory_digest
+
+        elf = compile_lfi(self.LOOP, options=O2).elf
+        real_decode = machine_mod.decode_word
+        runs = {}
+        for engine in ENGINES:
+            runtime = Runtime(model=model, engine=engine)
+            machine = runtime.machine
+            template = runtime.load_template(elf)
+            clones = []
+            for clone in range(2):
+                decoded = []
+
+                def counting(word, pc=0):
+                    decoded.append(word)
+                    return real_decode(word, pc)
+
+                monkeypatch.setattr(machine_mod, "decode_word", counting)
+                proc = runtime.spawn_clone(template)
+                instret, cycles = machine.instret, machine.cycles
+                code = runtime.run_until_exit(proc)
+                clones.append((
+                    code, proc.registers,
+                    memory_digest(runtime.memory, proc.layout),
+                    machine.instret - instret, machine.cycles - cycles))
+                classes = {decoding_class(word) for word in decoded}
+                if clone == 0:
+                    assert classes - PC_RELATIVE_CLASSES  # cold: all words
+                else:
+                    assert decoded and classes <= PC_RELATIVE_CLASSES
+            monkeypatch.undo()
+            assert clones[0][1:] != clones[1][1:]  # different slots
+            runs[engine.kind] = clones
+        assert runs["superblock"] == runs["stepping"]
