@@ -279,13 +279,16 @@ class SpeculativeEngine:
         # -- rollback: reverse order of effects ----------------------------
         for address, old in reversed(undo):
             machine.memory.write(address, old)
+        # In place: compiled superblocks bind the set lists and the
+        # scoreboard dict (DESIGN.md §15).
         for gauge, sets, hits, misses in gauges:
-            gauge._sets = sets
+            gauge._sets[:] = sets
             gauge.hits = hits
             gauge.misses = misses
         if costing is not None:
-            costing.t_issue, costing.t_done, costing.ready = (
-                cost_state[0], cost_state[1], cost_state[2])
+            costing.t_issue, costing.t_done = cost_state[0], cost_state[1]
+            costing.ready.clear()
+            costing.ready.update(cost_state[2])
         machine.instret = instret
         cpu.restore(snapshot)
         cpu.exclusive_addr = exclusive

@@ -10,6 +10,10 @@ dispatches whole blocks from :meth:`Machine.run`.
 
 Design rules (DESIGN.md §10, §15):
 
+* every specialized op comes from one table of per-op source templates
+  (``_ROWS``).  The uncosted op closures are generated from it at
+  import; hot costed blocks inline the same bodies into one generated
+  function;
 * a block ends at the first branch, trap instruction (``svc``/``brk``/
   ``hlt``), registered host entry, undecodable word, or page boundary —
   blocks never cross a page, so invalidation is page-exact;
@@ -50,15 +54,19 @@ original interpreter, whose behaviour is unchanged.
 
 from __future__ import annotations
 
+import re
+import struct
+from collections import OrderedDict
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from string import Template
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
     Shifted, ShiftedImm, VecReg, canonical_condition
 from ..arm64.registers import LR, Reg
 from ..core.rewriter import is_runtime_call_load
-from ..memory.pages import MemoryFault
+from ..memory.pages import PERM_R, PERM_W, MemoryFault
 from .cpu import MASK32, MASK64
 
 __all__ = ["Superblock", "SuperblockEngine"]
@@ -85,6 +93,14 @@ _COMPILE_THRESHOLD = 8
 #: can compile: generated source for a page-spanning straight-line run
 #: would otherwise cost more to compile than the dispatch it saves.
 _COMPILE_MAX_OPS = 256
+#: Process-wide cache of compiled block factories, keyed by the full
+#: generated source (which embeds every pc, cost and model constant, so
+#: equal keys are equal programs).  Least recently used out past the cap;
+#: an evicted entry only costs a recompile.  An entry (source and code)
+#: takes ~17 KB on the SPEC-profile kernels, whose 14 images compile
+#: about 100 blocks, so the cap bounds the cache near 4 MB.
+_CODE_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
+_CODE_CACHE_CAP = 256
 
 _TERMINATOR_BASES = frozenset([
     "b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz",
@@ -108,20 +124,29 @@ def _pc_fix(cpu, pc, call):
     return run
 
 
+def _trap(cpu, pc, exc_factory):
+    def run():
+        cpu.pc = pc
+        raise exc_factory()
+    return run
+
+
 class Superblock:
     """A predecoded straight-line run of instructions.
 
     ``ops`` is a list of ``(kind, exec, pc, icost, lat, uses, defs,
-    fused)`` tuples; ``count`` is the run's fuel cost (fused ops count
-    two, a trailing trap instruction counts one for the attempt);
-    ``next_pc`` is the fall-through address; ``end`` is the exclusive
-    byte bound used for invalidation overlap checks.
+    fused)`` tuples; ``tmpls`` is the parallel list of ``(row key,
+    args)`` op templates (None for a generic op); ``count`` is the run's
+    fuel cost (fused ops count two, a trailing trap instruction counts
+    one for the attempt); ``next_pc`` is the fall-through address;
+    ``end`` is the exclusive byte bound used for invalidation overlap
+    checks.
 
     ``rtcall`` is the fused runtime-call tail (``ldr x30, [x21, #n]`` +
     ``blr x30``): ``(exec, ldr_pc, ldr_icost, ldr_lat, ldr_uses,
-    ldr_defs, blr_icost, blr_lat, blr_uses, blr_defs)``, or ``None``.
-    The pair is kept out of ``ops`` so the per-op dispatch stays
-    branch-free; its two instructions are included in ``count``.
+    ldr_defs, blr_icost, blr_lat, blr_uses, blr_defs, tmpl)``, or
+    ``None``.  The pair is kept out of ``ops`` so the per-op dispatch
+    stays branch-free; its two instructions are included in ``count``.
 
     ``link_fall``/``link_taken`` are the block-chaining inline caches
     (observed successor blocks); ``valid`` is cleared on invalidation so
@@ -134,14 +159,15 @@ class Superblock:
     until then, and forever on the uncosted path.
     """
 
-    __slots__ = ("start", "end", "ops", "count", "next_pc", "rtcall",
-                 "valid", "link_fall", "link_taken", "fn", "hits")
+    __slots__ = ("start", "end", "ops", "tmpls", "count", "next_pc",
+                 "rtcall", "valid", "link_fall", "link_taken", "fn", "hits")
 
-    def __init__(self, start: int, end: int, ops: list, count: int,
-                 next_pc: int, rtcall: Optional[tuple] = None):
+    def __init__(self, start: int, end: int, ops: list, tmpls: list,
+                 count: int, next_pc: int, rtcall: Optional[tuple] = None):
         self.start = start
         self.end = end
         self.ops = ops
+        self.tmpls = tmpls
         self.count = count
         self.next_pc = next_pc
         self.rtcall = rtcall
@@ -156,834 +182,394 @@ class Superblock:
                 f"{len(self.ops)} ops, fuel {self.count})")
 
 
-# ---------------------------------------------------------------------------
-# Specialized op thunk factories.
-#
-# Every factory closes over the CPU register list (kept identity-stable by
-# CpuState.restore) and precomputed constants; each replicates the exact
-# architectural effect of the corresponding machine.py handler.
-# ---------------------------------------------------------------------------
-
 def _is_plain_gpr(reg) -> bool:
     return (isinstance(reg, Reg) and reg.is_gpr and not reg.is_zero
             and not reg.is_sp)
 
 
-_COND_EVAL = {
-    "eq": lambda cpu: cpu.z == 1,
-    "ne": lambda cpu: cpu.z == 0,
-    "cs": lambda cpu: cpu.c == 1,
-    "cc": lambda cpu: cpu.c == 0,
-    "mi": lambda cpu: cpu.n == 1,
-    "pl": lambda cpu: cpu.n == 0,
-    "vs": lambda cpu: cpu.v == 1,
-    "vc": lambda cpu: cpu.v == 0,
-    "hi": lambda cpu: cpu.c == 1 and cpu.z == 0,
-    "ls": lambda cpu: not (cpu.c == 1 and cpu.z == 0),
-    "ge": lambda cpu: cpu.n == cpu.v,
-    "lt": lambda cpu: cpu.n != cpu.v,
-    "gt": lambda cpu: cpu.z == 0 and cpu.n == cpu.v,
-    "le": lambda cpu: not (cpu.z == 0 and cpu.n == cpu.v),
-    "al": lambda cpu: True,
-    "nv": lambda cpu: True,
+# ---------------------------------------------------------------------------
+# The op-template table.
+#
+# One row per specialized instruction form: its op kind, its parameter
+# names, and its body as Python source over ``regs``/``vregs``/``cpu``.
+# ``$name`` is a parameter, ``$N $Z $C $V`` are the flags, and
+# ``LOAD(address, size)`` / ``STORE(address, size, data)`` are memory
+# accesses.  Branch rows also carry a condition (None: always taken);
+# their body runs when it holds.  Each row's semantics replicate the
+# corresponding ``machine.py`` handler exactly.  Two consumers derive
+# from every row:
+#
+# * the uncosted path: at import each row becomes a closure factory
+#   (``_Row.make``) whose parameters are closure cells, whose flags are
+#   the cpu attributes, and whose accesses call ``PagedMemory.read`` /
+#   ``write``;
+# * the costed path: :meth:`SuperblockEngine._compile_block` inlines the
+#   body with the parameters as literals, the flags as block locals and
+#   the accesses as the single-page fast path (see :class:`_Inliner`).
+# ---------------------------------------------------------------------------
+
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+#: The struct converters the FP rows name: globals of the closure
+#: factories, bound locals of compiled blocks.
+_FP_ENV = {"pack_u32": _U32.pack, "unpack_f32": _F32.unpack,
+           "pack_u64": _U64.pack, "unpack_f64": _F64.unpack,
+           "pack_f64": _F64.pack, "unpack_u64": _U64.unpack}
+
+
+class _Row:
+    """One op template (see the table comment above)."""
+
+    __slots__ = ("kind", "params", "body", "cond", "sets_nzcv", "make")
+
+    def __init__(self, kind: int, params: str, body: Tuple[str, ...],
+                 cond: Optional[str], sets_nzcv: bool):
+        self.kind = kind
+        self.params = tuple(params.split())
+        self.body = body
+        self.cond = cond
+        self.sets_nzcv = sets_nzcv
+        self.make: Optional[Callable] = None
+
+
+_ROWS: Dict[str, _Row] = {}
+
+
+def _row(key: str, kind: int, params: str, *body: str,
+         cond: Optional[str] = None, sets_nzcv: bool = False) -> None:
+    _ROWS[key] = _Row(kind, params, body, cond, sets_nzcv)
+
+
+def _view(expr: str, width: int) -> str:
+    """A register read at ``width`` bits (GPRs hold 64-bit values)."""
+    return expr if width == 64 else f"({expr} & MASK32)"
+
+
+def _define_rows() -> None:
+    for w in (64, 32):
+        mask = "MASK64" if w == 64 else "MASK32"
+        top, wrap = f"{1 << (w - 1):#x}", f"{1 << w:#x}"
+        a, b, c = (_view(f"regs[${p}]", w) for p in ("s1", "s2", "s3"))
+        rd = "regs[$d]"
+        for name, op in (("add", "+"), ("sub", "-")):
+            _row(f"{name}.imm.{w}", K_SIMPLE, "d s1 imm",
+                 f"{rd} = ({a} {op} $imm) & {mask}")
+            _row(f"{name}.reg.{w}", K_SIMPLE, "d s1 s2",
+                 f"{rd} = ({a} {op} {b}) & {mask}")
+            _row(f"{name}.lsl.{w}", K_SIMPLE, "d s1 s2 amt",
+                 f"{rd} = ({a} {op} (({b} << $amt) & {mask})) & {mask}")
+            # Flag-setting forms; a zero destination is cmp/cmn.  For
+            # subtraction the operand is inverted with carry in, as in
+            # Machine._set_add_flags.
+            for src, params, operand in (
+                    ("imm", "s1 imm", "$imm"),
+                    ("reg", "s1 s2", b if op == "+" else f"~{b} & {mask}")):
+                carry = " + 1" if op == "-" else ""
+                nzcv = (f"a = {a}", f"b = {operand}",
+                        f"raw = a + b{carry}", f"result = raw & {mask}",
+                        f"$N = result >> {w - 1}",
+                        "$Z = 0 if result else 1",
+                        f"$C = raw >> {w}",
+                        f"$V = ((a ^ result) & (b ^ result)) >> {w - 1}")
+                _row(f"{name}s.{src}.{w}", K_SIMPLE, "d " + params,
+                     *nzcv, f"{rd} = result", sets_nzcv=True)
+                _row(f"{'cmp' if op == '-' else 'cmn'}.{src}.{w}", K_SIMPLE,
+                     params, *nzcv, sets_nzcv=True)
+        _row(f"mov.reg.{w}", K_SIMPLE, "d s1", f"{rd} = {a}")
+        _row(f"movk.{w}", K_SIMPLE, "d keep ins",
+             f"{rd} = ({_view(rd, w)} & $keep) | $ins")
+        for name, op in (("and", "&"), ("orr", "|"), ("eor", "^")):
+            _row(f"{name}.imm.{w}", K_SIMPLE, "d s1 imm",
+                 f"{rd} = {a} {op} $imm")
+            _row(f"{name}.reg.{w}", K_SIMPLE, "d s1 s2",
+                 f"{rd} = regs[$s1] {op} regs[$s2]" if w == 64
+                 else f"{rd} = (regs[$s1] {op} regs[$s2]) & MASK32")
+        _row(f"madd.{w}", K_SIMPLE, "d s1 s2 s3",
+             f"{rd} = ({c} + {a} * {b}) & {mask}")
+        _row(f"msub.{w}", K_SIMPLE, "d s1 s2 s3",
+             f"{rd} = ({c} - {a} * {b}) & {mask}")
+        _row(f"mul.{w}", K_SIMPLE, "d s1 s2", f"{rd} = ({a} * {b}) & {mask}")
+        _row(f"mneg.{w}", K_SIMPLE, "d s1 s2",
+             f"{rd} = -({a} * {b}) & {mask}")
+        _row(f"udiv.{w}", K_SIMPLE, "d s1 s2", f"b = {b}",
+             f"{rd} = {a} // b if b else 0")
+        _row(f"sdiv.{w}", K_SIMPLE, "d s1 s2", f"a = {a}", f"b = {b}",
+             f"if a & {top}:", f"    a -= {wrap}",
+             f"if b & {top}:", f"    b -= {wrap}",
+             "if b:", "    q = abs(a) // abs(b)",
+             f"    {rd} = (-q if (a < 0) != (b < 0) else q) & {mask}",
+             "else:", f"    {rd} = 0")
+        # ubfm/sbfm (lsr/lsl/ubfx/sxtw aliases) with precomputed geometry.
+        _row(f"ubfm.{w}", K_SIMPLE, "d s1 rsh fmask lsh",
+             f"{rd} = ((({a} >> $rsh) & $fmask) << $lsh) & {mask}")
+        _row(f"sbfm.{w}", K_SIMPLE, "d s1 rsh fmask lsh sign fill",
+             f"field = ({a} >> $rsh) & $fmask",
+             "if field & $sign:",
+             f"    {rd} = ((field << $lsh) & {mask}) | $fill",
+             "else:", f"    {rd} = (field << $lsh) & {mask}")
+        _row(f"cbz.{w}", K_BRANCH, "t target", "cpu.pc = $target",
+             cond=f"{_view('regs[$t]', w)} == 0")
+        _row(f"cbnz.{w}", K_BRANCH, "t target", "cpu.pc = $target",
+             cond=f"{_view('regs[$t]', w)} != 0")
+    # sp operands of add/sub (frame setup: ``add x29, sp, #0``,
+    # ``sub sp, sp, #16``), 64-bit only.
+    for name, op in (("add", "+"), ("sub", "-")):
+        for form, dst, src in (("ssp", "regs[$d]", "cpu.sp"),
+                               ("dsp", "cpu.sp", "regs[$s1]"),
+                               ("sp", "cpu.sp", "cpu.sp")):
+            params = " ".join(p for p in ("d", "s1") if f"${p}" in dst + src)
+            _row(f"{name}.imm.{form}", K_SIMPLE, params + " imm",
+                 f"{dst} = ({src} {op} $imm) & MASK64")
+    _row("add.uxtw", K_SIMPLE, "d s1 s2",
+         "regs[$d] = (regs[$s1] + (regs[$s2] & MASK32)) & MASK64")
+    _row("mov.imm", K_SIMPLE, "d imm", "regs[$d] = $imm")
+
+    # -- scalar floating point and vector integer ops ----------------------
+    # A double converts through struct directly (packing a Python float
+    # as a double never overflows); a float32 result goes through f2b,
+    # which saturates an overflow to infinity as Machine's fp_write does.
+    for bits in (64, 32):
+        def fp(p, bits=bits):
+            return (f"unpack_f{bits}(pack_u{bits}(vregs[${p}] & "
+                    f"MASK{bits}))[0]")
+
+        def result(expr, bits=bits):
+            return ("vregs[$d] = " + (f"unpack_u64(pack_f64({expr}))[0]"
+                                      if bits == 64 else f"f2b({expr}, 32)"))
+        for name, op in (("fadd", "+"), ("fsub", "-"), ("fmul", "*")):
+            _row(f"{name}.{bits}", K_SIMPLE, "d s1 s2",
+                 result(f"{fp('s1')} {op} {fp('s2')}"))
+        for name, op in (("fmadd", "+"), ("fmsub", "-")):
+            _row(f"{name}.{bits}", K_SIMPLE, "d s1 s2 s3",
+                 f"prod = {fp('s1')} * {fp('s2')}",
+                 result(f"{fp('s3')} {op} prod"))
+    for name, op in (("and", "&"), ("orr", "|"), ("eor", "^")):
+        _row(f"vec.{name}", K_SIMPLE, "d s1 s2 fmask",
+             f"vregs[$d] = (vregs[$s1] {op} vregs[$s2]) & $fmask")
+    for name, op in (("add", "+"), ("sub", "-"), ("mul", "*")):
+        _row(f"vec.{name}", K_SIMPLE, "d s1 s2 shifts lmask",
+             "a = vregs[$s1]", "b = vregs[$s2]", "raw = 0",
+             "for sh in $shifts:",
+             f"    raw |= ((((a >> sh) & $lmask) {op} ((b >> sh) & $lmask))"
+             " & $lmask) << sh",
+             "vregs[$d] = raw")
+
+    # -- loads and stores: addressing form x access ------------------------
+    accesses = {
+        "ld": ("t size", ("regs[$t] = LOAD(addr, $size)",)),
+        "lds": ("t size sign wrap tmask", (
+            "raw = LOAD(addr, $size)", "if raw & $sign:",
+            "    raw -= $wrap", "regs[$t] = raw & $tmask")),
+        "st": ("t size smask", (
+            'STORE(addr, $size, (regs[$t] & $smask).to_bytes($size, '
+            '"little"))',)),
+        "stz": ("size zero", ("STORE(addr, $size, $zero)",)),
+        "vld": ("t size vmask", ("vregs[$t] = LOAD(addr, $size) & $vmask",)),
+        "vst": ("t size vmask", (
+            'STORE(addr, $size, (vregs[$t] & $vmask).to_bytes($size, '
+            '"little"))',)),
+        "ldp": ("t t2", ("regs[$t] = LOAD(addr, 8)",
+                         "regs[$t2] = LOAD(addr + 8, 8)")),
+        "stp": ("t t2", (
+            'STORE(addr, 8, (regs[$t] & MASK64).to_bytes(8, "little"))',
+            'STORE(addr + 8, 8, (regs[$t2] & MASK64).to_bytes(8, '
+            '"little"))')),
+    }
+    # Form -> (params, address lines, writeback lines).
+    forms = {"uxtw": ("base idx", (
+        "addr = (regs[$base] + (regs[$idx] & MASK32)) & MASK64",), ())}
+    for sp, reg, params in (("", "regs[$base]", "base imm"),
+                            ("_sp", "cpu.sp", "imm")):
+        forms["sp" if sp else "imm"] = (
+            params, (f"addr = ({reg} + $imm) & MASK64",), ())
+        forms["pre" + sp] = (params, (f"addr = ({reg} + $imm) & MASK64",),
+                             (f"{reg} = addr",))
+        forms["post" + sp] = (params, (f"addr = {reg}",),
+                              (f"{reg} = (addr + $imm) & MASK64",))
+    for acc, (acc_params, acc_body) in accesses.items():
+        for form, (form_params, addr, wb) in forms.items():
+            if form == "uxtw" and acc in ("ldp", "stp"):
+                continue
+            _row(f"{acc}.{form}", K_MEM, f"{form_params} {acc_params}",
+                 *addr, *acc_body, *wb)
+    _row("rtcall", K_MEM, "base imm link",
+         "addr = (regs[$base] + $imm) & MASK64", "target = LOAD(addr, 8)",
+         "regs[30] = $link", "cpu.pc = target")
+
+    # -- fused guard sequences (DESIGN.md §10) -----------------------------
+    guard = ("g = (regs[$base] + (regs[$gs] & MASK32)) & MASK64",
+             "regs[$gd] = g")
+    for acc in ("ld", "lds", "st", "stz"):
+        acc_params, acc_body = accesses[acc]
+        _row(f"guard.{acc}", K_FUSED_MEM, f"base gs gd imm {acc_params}",
+             *guard, "addr = (g + $imm) & MASK64", *acc_body)
+        for name, op in (("add", "+"), ("sub", "-")):
+            _row(f"offset.{name}.{acc}", K_FUSED_MEM,
+                 f"base ws wd oimm {acc_params}",
+                 f"w = ((regs[$ws] & MASK32) {op} $oimm) & MASK32",
+                 "regs[$wd] = w", "addr = (regs[$base] + w) & MASK64",
+                 *acc_body)
+    _row("guard.br", K_FUSED_BRANCH, "base gs gd", *guard, "cpu.pc = g")
+    _row("guard.blr", K_FUSED_BRANCH, "base gs gd link", *guard,
+         "regs[30] = $link", "cpu.pc = g")
+    _row("guard.sp", K_FUSED_SIMPLE, "base wd", "w = cpu.sp & MASK32",
+         "regs[$wd] = w", "cpu.sp = (regs[$base] + w) & MASK64")
+
+    # -- branches ----------------------------------------------------------
+    _row("b", K_BRANCH, "target", "cpu.pc = $target")
+    for cond, holds in _COND_SRC.items():
+        _row(f"b.{cond}", K_BRANCH, "target", "cpu.pc = $target",
+             cond=holds)
+    _row("bl", K_BRANCH, "target link", "regs[30] = $link",
+         "cpu.pc = $target")
+    _row("br", K_BRANCH, "t", "cpu.pc = regs[$t] & MASK64")
+    _row("blr", K_BRANCH, "t link", "target = regs[$t] & MASK64",
+         "regs[30] = $link", "cpu.pc = target")
+    _row("tbz", K_BRANCH, "t bit target", "cpu.pc = $target",
+         cond="not (regs[$t] >> $bit) & 1")
+    _row("tbnz", K_BRANCH, "t bit target", "cpu.pc = $target",
+         cond="(regs[$t] >> $bit) & 1")
+
+
+#: Condition-code tests over the 0/1 flag values (``al``/``nv`` keep the
+#: generic handler).
+_COND_SRC = {
+    "eq": "$Z", "ne": "not $Z", "cs": "$C", "cc": "not $C",
+    "mi": "$N", "pl": "not $N", "vs": "$V", "vc": "not $V",
+    "hi": "$C and not $Z", "ls": "not $C or $Z",
+    "ge": "$N == $V", "lt": "$N != $V",
+    "gt": "not $Z and $N == $V", "le": "$Z or $N != $V",
 }
 
-
-def _t_add_imm(regs, d, a_i, b, width, sub):
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i] - b) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i] + b) & MASK64
-    else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) - b) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) + b) & MASK32
-    return run
-
-
-def _t_add_reg(regs, d, a_i, b_i, width, sub):
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i] - regs[b_i]) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i] + regs[b_i]) & MASK64
-    else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (regs[b_i] & MASK32)) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (regs[b_i] & MASK32)) & MASK32
-    return run
-
-
-def _t_add_uxtw(regs, d, a_i, w_i):
-    """``add Xd, Xn, wM, uxtw`` — the LFI guard form, unfused."""
-    def run():
-        regs[d] = (regs[a_i] + (regs[w_i] & MASK32)) & MASK64
-    return run
-
-
-def _flag_thunk(cpu, regs, d, a_i, width, get_b, carry_in):
-    """Shared flags body for adds/subs/cmp/cmn (b already inverted for
-    subtraction).  Replicates Machine._set_add_flags exactly."""
-    mask = (1 << width) - 1
-    top = 1 << (width - 1)
-    wrap = 1 << width
-    if width == 64:
-        def read_a():
-            return regs[a_i]
-    else:
-        def read_a():
-            return regs[a_i] & MASK32
-
-    def run():
-        a = read_a()
-        b = get_b()
-        raw = a + b + carry_in
-        result = raw & mask
-        cpu.n = 1 if result & top else 0
-        cpu.z = 1 if result == 0 else 0
-        cpu.c = 1 if raw > mask else 0
-        sa = a - wrap if a & top else a
-        sb = b - wrap if b & top else b
-        sres = result - wrap if result & top else result
-        cpu.v = 1 if (sa + sb + carry_in != sres) else 0
-        if d is not None:
-            regs[d] = result
-    return run
-
-
-def _t_addsub_flags_imm(cpu, regs, d, a_i, b, width, sub):
-    mask = (1 << width) - 1
-    if sub:
-        b = (~b) & mask
-        carry = 1
-    else:
-        b = b & mask
-        carry = 0
-    return _flag_thunk(cpu, regs, d, a_i, width, lambda: b, carry)
-
-
-def _t_addsub_flags_reg(cpu, regs, d, a_i, b_i, width, sub):
-    mask = (1 << width) - 1
-    if width == 64:
-        if sub:
-            def get_b():
-                return (~regs[b_i]) & mask
-        else:
-            def get_b():
-                return regs[b_i]
-    else:
-        if sub:
-            def get_b():
-                return (~(regs[b_i] & MASK32)) & mask
-        else:
-            def get_b():
-                return regs[b_i] & MASK32
-    return _flag_thunk(cpu, regs, d, a_i, width, get_b, 1 if sub else 0)
-
-
-def _t_mov_const(regs, d, const):
-    def run():
-        regs[d] = const
-    return run
-
-
-def _t_mov_reg(regs, d, s_i, width):
-    if width == 64:
-        def run():
-            regs[d] = regs[s_i]
-    else:
-        def run():
-            regs[d] = regs[s_i] & MASK32
-    return run
-
-
-def _t_movk(regs, d, keep, bits, width):
-    if width == 64:
-        def run():
-            regs[d] = (regs[d] & keep) | bits
-    else:
-        def run():
-            regs[d] = ((regs[d] & MASK32) & keep) | bits
-    return run
-
-
-def _t_logic_imm(regs, d, a_i, b, width, op):
-    if width == 64:
-        if op == "and":
-            def run():
-                regs[d] = regs[a_i] & b
-        elif op == "orr":
-            def run():
-                regs[d] = regs[a_i] | b
-        else:
-            def run():
-                regs[d] = regs[a_i] ^ b
-    else:
-        if op == "and":
-            def run():
-                regs[d] = (regs[a_i] & MASK32) & b
-        elif op == "orr":
-            def run():
-                regs[d] = (regs[a_i] & MASK32) | b
-        else:
-            def run():
-                regs[d] = (regs[a_i] & MASK32) ^ b
-    return run
-
-
-def _t_logic_reg(regs, d, a_i, b_i, width, op):
-    if width == 64:
-        if op == "and":
-            def run():
-                regs[d] = regs[a_i] & regs[b_i]
-        elif op == "orr":
-            def run():
-                regs[d] = regs[a_i] | regs[b_i]
-        else:
-            def run():
-                regs[d] = regs[a_i] ^ regs[b_i]
-    else:
-        if op == "and":
-            def run():
-                regs[d] = (regs[a_i] & regs[b_i]) & MASK32
-        elif op == "orr":
-            def run():
-                regs[d] = (regs[a_i] | regs[b_i]) & MASK32
-        else:
-            def run():
-                regs[d] = (regs[a_i] ^ regs[b_i]) & MASK32
-    return run
-
-
-def _t_shift_imm(regs, d, a_i, amount, width, op):
-    mask = (1 << width) - 1
-    if op == "lsl":
-        if width == 64:
-            def run():
-                regs[d] = (regs[a_i] << amount) & MASK64
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) << amount) & MASK32
-    elif op == "lsr":
-        if width == 64:
-            def run():
-                regs[d] = regs[a_i] >> amount
-        else:
-            def run():
-                regs[d] = (regs[a_i] & MASK32) >> amount
-    else:  # asr
-        top = 1 << (width - 1)
-        wrap = 1 << width
-
-        def run():
-            a = regs[a_i] if width == 64 else regs[a_i] & MASK32
-            if a & top:
-                a -= wrap
-            regs[d] = (a >> amount) & mask
-    return run
-
-
-def _t_addsub_shifted(regs, d, a_i, b_i, amount, width, sub):
-    """``add/sub Xd, Xn, Xm, lsl #k`` (array indexing in the FP kernels)."""
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i]
-                           - ((regs[b_i] << amount) & MASK64)) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i]
-                           + ((regs[b_i] << amount) & MASK64)) & MASK64
-    else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (((regs[b_i] & MASK32) << amount)
-                              & MASK32)) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (((regs[b_i] & MASK32) << amount)
-                              & MASK32)) & MASK32
-    return run
-
-
-def _t_madd(regs, d, n_i, m_i, a_i, width, msub):
-    mask = (1 << width) - 1
-    if width == 64:
-        if msub:
-            def run():
-                regs[d] = (regs[a_i] - regs[n_i] * regs[m_i]) & mask
-        else:
-            def run():
-                regs[d] = (regs[a_i] + regs[n_i] * regs[m_i]) & mask
-    else:
-        if msub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (regs[n_i] & MASK32)
-                           * (regs[m_i] & MASK32)) & mask
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (regs[n_i] & MASK32)
-                           * (regs[m_i] & MASK32)) & mask
-    return run
-
-
-def _t_bitfield(regs, d, n_i, width, immr, imms, signed):
-    """ubfm/sbfm with precomputed field geometry (lsr/lsl/ubfx aliases)."""
-    mask = (1 << width) - 1
-    if imms >= immr:
-        length = imms - immr + 1
-        rshift = immr
-        shift = 0
-    else:
-        length = imms + 1
-        rshift = 0
-        shift = width - immr
-    fmask = (1 << length) - 1
-    sign_bit = 1 << (length - 1)
-    sign_fill = mask & ~((1 << min(shift + length, width)) - 1)
-    src64 = width == 64
-
-    def run():
-        src = regs[n_i] if src64 else regs[n_i] & MASK32
-        field = (src >> rshift) & fmask
-        result = (field << shift) & mask
-        if signed and field & sign_bit:
-            result |= sign_fill
-        regs[d] = result
-    return run
-
-
-# -- scalar floating point factories ------------------------------------------
-
-def _t_fp2(vregs, d, n_i, m_i, bits, op, b2f, f2b):
-    """Scalar fadd/fsub/fmul with equal-width d/s operands."""
-    vmask = (1 << bits) - 1
-    if op == "fadd":
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           + b2f(vregs[m_i] & vmask, bits), bits)
-    elif op == "fsub":
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           - b2f(vregs[m_i] & vmask, bits), bits)
-    else:  # fmul
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           * b2f(vregs[m_i] & vmask, bits), bits)
-    return run
-
-
-def _t_fp3(vregs, d, n_i, m_i, a_i, bits, msub, b2f, f2b):
-    """Scalar fmadd/fmsub (the FP kernels' hottest data op)."""
-    vmask = (1 << bits) - 1
-    if msub:
-        def run():
-            prod = b2f(vregs[n_i] & vmask, bits) \
-                * b2f(vregs[m_i] & vmask, bits)
-            vregs[d] = f2b(b2f(vregs[a_i] & vmask, bits) - prod, bits)
-    else:
-        def run():
-            prod = b2f(vregs[n_i] & vmask, bits) \
-                * b2f(vregs[m_i] & vmask, bits)
-            vregs[d] = f2b(b2f(vregs[a_i] & vmask, bits) + prod, bits)
-    return run
-
-
-# -- vector integer factories -------------------------------------------------
-
-def _t_vec3_bitwise(vregs, d, n_i, m_i, full_mask, op):
-    """Lane-independent vector and/orr/eor collapse to one bitop."""
-    if op == "and":
-        def run():
-            vregs[d] = (vregs[n_i] & vregs[m_i]) & full_mask
-    elif op == "orr":
-        def run():
-            vregs[d] = (vregs[n_i] | vregs[m_i]) & full_mask
-    else:  # eor
-        def run():
-            vregs[d] = (vregs[n_i] ^ vregs[m_i]) & full_mask
-    return run
-
-
-def _t_vec3_lanes(vregs, d, n_i, m_i, lanes, bits, op):
-    """Lane-wise vector add/sub/mul over a same-arrangement triple."""
-    mask = (1 << bits) - 1
-    shifts = tuple(range(0, lanes * bits, bits))
-    if op == "add":
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) + ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    elif op == "sub":
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) - ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    else:  # mul
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) * ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    return run
-
-
-# -- memory op factories ------------------------------------------------------
-
-def _t_load(regs, cpu, read, t, base_i, imm, size, signed_bits, tbits,
-            sp_base):
-    """Loads with a register+immediate address into a GPR target."""
-    if signed_bits is None:
-        if sp_base:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                regs[t] = int.from_bytes(read(addr, size), "little")
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                regs[t] = int.from_bytes(read(addr, size), "little")
-                return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-        if sp_base:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                raw = int.from_bytes(read(addr, size), "little")
-                if raw & sign:
-                    raw -= wrap
-                regs[t] = raw & tmask
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                raw = int.from_bytes(read(addr, size), "little")
-                if raw & sign:
-                    raw -= wrap
-                regs[t] = raw & tmask
-                return addr
-    return run
-
-
-def _t_load_uxtw(regs, read, t, base_i, w_i, size, signed_bits, tbits):
-    """``ldr Xt, [x21, wM, uxtw]`` — the zero-instruction guard mode."""
-    if signed_bits is None:
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
-
-
-def _t_store(regs, cpu, write, t, base_i, imm, size, sp_base, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if sp_base:
-        if zero_src:
-            data = (0).to_bytes(size, "little")
-
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                write(addr, data)
-                return addr
-        else:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                write(addr, (regs[t] & smask).to_bytes(size, "little"))
-                return addr
-    else:
-        if zero_src:
-            data = (0).to_bytes(size, "little")
-
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                write(addr, data)
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                write(addr, (regs[t] & smask).to_bytes(size, "little"))
-                return addr
-    return run
-
-
-def _t_store_uxtw(regs, write, t, base_i, w_i, size, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_vload(vregs, regs, cpu, read, t, base_i, imm, size, vmask, sp_base):
-    """FP/SIMD register load (``ldr d0, [x1, #8]`` and friends)."""
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-            return addr
-    return run
-
-
-def _t_vload_uxtw(vregs, regs, read, t, base_i, w_i, size, vmask):
-    def run():
-        addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-        vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-        return addr
-    return run
-
-
-def _t_vstore(vregs, regs, cpu, write, t, base_i, imm, size, vmask, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_vstore_uxtw(vregs, regs, write, t, base_i, w_i, size, vmask):
-    def run():
-        addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-        write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-        return addr
-    return run
-
-
-def _t_ldp(regs, cpu, read, t1, t2, base_i, imm, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            regs[t1] = int.from_bytes(read(addr, 8), "little")
-            regs[t2] = int.from_bytes(read(addr + 8, 8), "little")
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            regs[t1] = int.from_bytes(read(addr, 8), "little")
-            regs[t2] = int.from_bytes(read(addr + 8, 8), "little")
-            return addr
-    return run
-
-
-def _t_stp(regs, cpu, write, t1, t2, base_i, imm, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            write(addr, (regs[t1] & MASK64).to_bytes(8, "little"))
-            write(addr + 8, (regs[t2] & MASK64).to_bytes(8, "little"))
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            write(addr, (regs[t1] & MASK64).to_bytes(8, "little"))
-            write(addr + 8, (regs[t2] & MASK64).to_bytes(8, "little"))
-            return addr
-    return run
-
-
-# -- branch factories ---------------------------------------------------------
-
-def _t_b(cpu, target):
-    def run():
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_bl(cpu, regs, target, link):
-    def run():
-        regs[30] = link
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_bcond(cpu, cond, target):
-    holds = _COND_EVAL[cond]
-
-    def run():
-        if holds(cpu):
-            cpu.pc = target
-            return True
-        return False
-    return run
-
-
-def _t_cb(cpu, regs, t_i, width, want_zero, target):
-    if width == 64:
-        def read_t():
-            return regs[t_i]
-    else:
-        def read_t():
-            return regs[t_i] & MASK32
-    if want_zero:
-        def run():
-            if read_t() == 0:
-                cpu.pc = target
-                return True
-            return False
-    else:
-        def run():
-            if read_t() != 0:
-                cpu.pc = target
-                return True
-            return False
-    return run
-
-
-def _t_tb(cpu, regs, t_i, bit, want_set, target):
-    if want_set:
-        def run():
-            if (regs[t_i] >> bit) & 1:
-                cpu.pc = target
-                return True
-            return False
-    else:
-        def run():
-            if not ((regs[t_i] >> bit) & 1):
-                cpu.pc = target
-                return True
-            return False
-    return run
-
-
-def _t_br(cpu, regs, t_i):
-    def run():
-        cpu.pc = regs[t_i] & MASK64
-        return True
-    return run
-
-
-def _t_blr(cpu, regs, t_i, link):
-    def run():
-        target = regs[t_i] & MASK64
-        regs[30] = link
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_rtcall(cpu, regs, read, base_i, imm, link):
-    """``ldr x30, [x21, #n]`` + ``blr x30`` — the runtime-call pair (§4.4).
-
-    Net architectural effect of executing both instructions: ``x30``
-    holds the return address and ``pc`` the loaded entry point.  A fault
-    in the table load raises before any register is written, exactly as
-    the stepping ``ldr`` would.  Returns the table address for the
-    compiled block's TLB/cache charging.
+_LOAD_RE = re.compile(r"LOAD\(([^,()]+), ([^,()]+)\)")
+_STORE_RE = re.compile(r"^(\s*)STORE\(([^,]+), ([^,]+), (.*)\)$")
+_CPU_FLAGS = {"N": "cpu.n", "Z": "cpu.z", "C": "cpu.c", "V": "cpu.v"}
+_LOCAL_FLAGS = {"N": "f_n", "Z": "f_z", "C": "f_c", "V": "f_v"}
+_COMMIT_FLAGS = "cpu.n = f_n; cpu.z = f_z; cpu.c = f_c; cpu.v = f_v"
+#: Arguments every generated op factory takes before the row parameters.
+_OP_ENV = "cpu, regs, vregs, read, write, f2b"
+
+
+def _closure_lines(row: _Row) -> List[str]:
+    """The uncosted closure body of ``row``."""
+    names = dict(_CPU_FLAGS, **{p: p for p in row.params})
+    body = []
+    for line in row.body:
+        line = Template(line).substitute(names)
+        match = _STORE_RE.match(line)
+        if match:
+            ind, addr, _size, data = match.groups()
+            line = f"{ind}write({addr}, {data})"
+        body.append(_LOAD_RE.sub(r'int.from_bytes(read(\1, \2), "little")',
+                                 line))
+    if row.kind == K_BRANCH:
+        if row.cond is None:
+            return body + ["return True"]
+        cond = Template(row.cond).substitute(names)
+        return ([f"if {cond}:"] + ["    " + line for line in body]
+                + ["    return True", "return False"])
+    if row.kind in (K_MEM, K_FUSED_MEM):
+        body.append("return addr")
+    return body
+
+
+def _build_factories() -> None:
+    """Compile one closure factory per row (the uncosted op closures)."""
+    src = []
+    keys = list(_ROWS)
+    for i, key in enumerate(keys):
+        row = _ROWS[key]
+        src.append(f"def make{i}({_OP_ENV}, {', '.join(row.params)}):")
+        src.append("    def run():")
+        src.extend("        " + line for line in _closure_lines(row))
+        src.append("    return run")
+    namespace = dict(_FP_ENV, MASK64=MASK64, MASK32=MASK32)
+    exec(compile("\n".join(src), "<superblock op templates>", "exec"),
+         namespace)
+    for i, key in enumerate(keys):
+        _ROWS[key].make = namespace[f"make{i}"]
+
+
+_define_rows()
+_build_factories()
+
+
+def _literal(value) -> str:
+    text = repr(value)
+    return f"({text})" if isinstance(value, int) and value < 0 else text
+
+
+class _Inliner:
+    """Renders op-template rows as inline source for one machine.
+
+    The memory fast paths replicate :meth:`PagedMemory.read` /
+    :meth:`~PagedMemory.write` for a permitted access within one page;
+    anything else (a fault, a page-crossing access, a COW page, a write
+    observer) calls the method itself, so every ``MemoryFault`` is the
+    one stepping raises.  A page with permissions always has storage
+    (``PagedMemory`` maps and unmaps both together), so the fast path
+    indexes the page table directly.
     """
-    def run():
-        addr = (regs[base_i] + imm) & MASK64
-        target = int.from_bytes(read(addr, 8), "little")
-        regs[30] = link
-        cpu.pc = target
+
+    def __init__(self, page_size: int):
+        self.page_size = page_size
+        self.shift = page_size.bit_length() - 1
+
+    @staticmethod
+    def render(text: str, row: _Row, args: tuple,
+               flags: Dict[str, str]) -> str:
+        """``text`` of ``row`` with its parameters as literals."""
+        names = dict(flags, **{p: _literal(v)
+                               for p, v in zip(row.params, args)})
+        return Template(text).substitute(names).replace(
+            "MASK64", f"{MASK64:#x}").replace("MASK32", f"{MASK32:#x}")
+
+    def lines(self, row: _Row, args: tuple, flags: Dict[str, str],
+              ind: str) -> List[str]:
+        """The inline body of ``row``, indented by ``ind``."""
+        out: List[str] = []
+        for line in row.body:
+            line = self.render(line, row, args, flags)
+            match = _STORE_RE.match(line)
+            if match:
+                sub_ind, addr, size, data = match.groups()
+                self._store(out, ind + sub_ind, addr, int(size), data)
+                continue
+            match = _LOAD_RE.search(line)
+            if match:
+                sub_ind = line[:len(line) - len(line.lstrip())]
+                self._load(out, ind + sub_ind, match.group(1),
+                           int(match.group(2)))
+                line = line[:match.start()] + "val" + line[match.end():]
+            out.append(ind + line)
+        return out
+
+    def _locate(self, out, ind, addr) -> str:
+        addr = addr if addr.isidentifier() else f"({addr})"
+        out.append(f"{ind}off = {addr} & {self.page_size - 1}")
+        out.append(f"{ind}pg = {addr} >> {self.shift}")
         return addr
-    return run
 
+    def _load(self, out, ind, addr, size) -> None:
+        paren = self._locate(out, ind, addr)
+        out.append(f"{ind}if off <= {self.page_size - size} and "
+                   f"perms_get(pg, 0) & {PERM_R}:")
+        out.append(f"{ind}    val = int.from_bytes(pages[pg][off:off + "
+                   f"{size}], 'little')")
+        out.append(f"{ind}else:")
+        out.append(f"{ind}    val = int.from_bytes(read({paren}, {size}), "
+                   f"'little')")
 
-def _t_trap(cpu, pc, exc_factory):
-    def run():
-        cpu.pc = pc
-        raise exc_factory()
-    return run
-
-
-# -- fused guard factories ----------------------------------------------------
-
-def _t_fused_guard_load(regs, read, g_d, g_s, t, imm, size, signed_bits,
-                        tbits, base_i):
-    """``add Xg, x21, wS, uxtw`` + ``ldr Xt, [Xg(, #imm)]``."""
-    if signed_bits is None:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
-
-
-def _t_fused_guard_store(regs, write, g_d, g_s, t, imm, size, base_i,
-                         zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_fused_offset_load(regs, read, o_d, o_s, o_imm, o_sub, t, size,
-                         signed_bits, tbits, base_i):
-    """``add wD, wS, #imm`` + ``ldr Xt, [x21, wD, uxtw]`` (Table 3)."""
-    if signed_bits is None:
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
-
-
-def _t_fused_offset_store(regs, write, o_d, o_s, o_imm, o_sub, t, size,
-                          base_i, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_fused_guard_branch(cpu, regs, g_d, g_s, base_i, link):
-    """``add Xg, x21, wS, uxtw`` + ``br/blr/ret Xg`` (branch guard)."""
-    if link is None:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            cpu.pc = g
-    else:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            regs[30] = link
-            cpu.pc = g
-    return run
-
-
-def _t_fused_sp_guard(cpu, regs, w_d, base_i):
-    """``mov w22, wsp`` + ``add sp, x21, x22`` (sp guard pair)."""
-    def run():
-        w = cpu.sp & MASK32
-        regs[w_d] = w
-        cpu.sp = (regs[base_i] + w) & MASK64
-    return run
+    def _store(self, out, ind, addr, size, data) -> None:
+        paren = self._locate(out, ind, addr)
+        out.append(f"{ind}if off <= {self.page_size - size} and not cow "
+                   f"and mem.write_observer is None and "
+                   f"perms_get(pg, 0) & {PERM_W}:")
+        out.append(f"{ind}    pages[pg][off:off + {size}] = {data}")
+        out.append(f"{ind}else:")
+        out.append(f"{ind}    write({paren}, {data})")
 
 
 # ---------------------------------------------------------------------------
@@ -1005,12 +591,20 @@ class SuperblockEngine:
         #: Translation-cache flush threshold (None = unbounded).
         self.block_cache_cap = (config.block_cache_cap
                                 if config is not None else None)
+        cpu = machine.cpu
+        memory = machine.memory
+        #: The leading arguments of every row's closure factory.
+        self._env = (cpu, cpu.regs, cpu.vregs, memory.read, memory.write,
+                     M._float_to_bits)
+        self._inliner = _Inliner(memory.page_size)
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
         self.invalidations = 0
         self.chain_links = 0
         self.fused_calls = 0
         self.compiled_blocks = 0
+        #: Compiled blocks whose code came from the process-wide cache.
+        self.code_cache_hits = 0
 
     # -- cache management ---------------------------------------------------
 
@@ -1208,6 +802,7 @@ class SuperblockEngine:
             machine.instret += n
             self.chain_links += links
 
+
     def _compile_block(self, block: Superblock):
         """Compile a hot costed block into one straight-line closure.
 
@@ -1215,196 +810,277 @@ class SuperblockEngine:
         decode-cache lookup, a handler dispatch and a
         :meth:`_Costing.charge` call per instruction.  For a block that
         re-executes (a loop body) all of that is static, so it is
-        unrolled here into generated source with every static quantity —
-        issue costs, latencies, scoreboard keys, pcs, model miss charges
-        — folded in as literals (``repr`` of a float round-trips
-        exactly).  The generated function performs the *same float
-        operations in the same order* as ``Machine.step``, so cycle
-        totals stay bit-identical; compilation is pure host-side speedup
-        (DESIGN.md §15).  A fused runtime-call tail is compiled in too:
-        the table load is charged like any load, the ``blr`` like a
-        taken branch.
+        unrolled here into generated source: each op's template body is
+        inlined with its operands as literals, and every static cost
+        quantity — issue costs, latencies, pcs, model miss charges — is
+        folded in (``repr`` of a float round-trips exactly).  The
+        generated function performs the *same float operations in the
+        same order* as ``Machine.step``, so cycle totals stay
+        bit-identical; compilation is pure host-side speedup (DESIGN.md
+        §15).  A fused runtime-call tail is compiled in too: the table
+        load is charged like any load, the ``blr`` like a taken branch.
+        An op without a template calls its generic closure (``e{i}()``).
 
-        The closure loads ``t_issue``/``t_done`` from the machine's
-        ``_Costing`` into locals and writes them back, with the retired
-        count, in a ``finally`` — so a mid-block trap commits exactly
-        the partial state stepping would have.  It takes no arguments
-        and returns whether the block's terminator branched.
+        The closure keeps the block's machine state in locals: the
+        ``t_issue``/``t_done`` horizons, one local per scoreboard key
+        (loaded at entry only when read before the block defines it),
+        the NZCV flags once an op sets them, and the hit counts of the
+        inline TLB/L1 probes.  It commits them on exit — the
+        scoreboard in first-definition order, so the dict's key order is
+        the one stepping builds.  On a trap it commits exactly the
+        partial state stepping would have: every raising op records the
+        retired count ``n``, and a key is written back only once its
+        first definition retired.  It takes no arguments and returns
+        whether the block's terminator branched.
+
+        The source is the key of the process-wide code cache: a block
+        with the same source (the same image at the same address under
+        the same model, in any machine) reuses its compiled factory.
         """
-        ops = block.ops
         machine = self.machine
         model = machine.model
-        has_tlb = machine.tlb is not None
-        has_l1 = machine.l1 is not None
-        walk_f = model.tlb_walk_cycles * machine.tlb_walk_scale
-        walk = repr(walk_f)
-        walk_bw = repr(walk_f * model.tlb_walk_issue_fraction)
-        l1_cyc = repr(model.l1_miss_cycles)
-        l1_bw = repr(model.l1_miss_issue)
-        l2_cyc = repr(model.l2_miss_cycles)
-        l2_bw = repr(model.l2_miss_issue)
+        tlb, l1, l2 = machine.tlb, machine.l1, machine.l2
         tb = model.taken_branch_cost
+        walk_f = model.tlb_walk_cycles * machine.tlb_walk_scale
+        inline = self._inliner
+        ind = "            "
+        body: List[str] = []
+        emit = body.append
+        #: scoreboard key -> retired count once its first def retired.
+        first_def: Dict[object, int] = {}
+        loads: Dict[object, None] = {}  # keys read before any def
+        mru: List[Tuple[str, str]] = []  # (gauge, hit counter) inlined
+        generic: List[int] = []
+        k = 0  # instructions retired before the one being emitted
+        flags_local = writes_flags = False
 
-        lines: List[str] = []
-        emit = lines.append
+        def local(key) -> str:
+            return "rsp" if key == "sp" else f"r{key}"
 
-        def tail(ind, uses, lat_expr, defs):
-            # Everything after the issue charge: dep-chain start, result
-            # latency, scoreboard writes, completion horizon.
-            emit(f"{ind}start = t_issue")
-            for key in uses:
-                emit(f"{ind}t = ready_get({key!r})")
-                emit(f"{ind}if t is not None and t > start:")
-                emit(f"{ind}    start = t")
-            emit(f"{ind}finish = start + {lat_expr}")
+        def charge(ind, issue, uses, lat, defs):
+            # _Costing.charge for one retired instruction; ``issue`` is
+            # None when the caller already added the issue cost.
+            nonlocal k
+            k += 1
+            if issue is not None:
+                emit(f"{ind}t_issue += {issue}")
+            start = "t_issue"
+            if uses:
+                start = "start"
+                emit(f"{ind}start = t_issue")
+                for key in dict.fromkeys(uses):
+                    if key not in first_def:
+                        loads[key] = None
+                    emit(f"{ind}if {local(key)} > start:")
+                    emit(f"{ind}    start = {local(key)}")
+            emit(f"{ind}finish = {start} + {lat}")
             for key in defs:
-                emit(f"{ind}ready[{key!r}] = finish")
+                first_def.setdefault(key, k)
+                emit(f"{ind}{local(key)} = finish")
             emit(f"{ind}if finish > t_done:")
             emit(f"{ind}    t_done = finish")
 
-        def probe_checks(ind):
-            if has_tlb:
-                emit(f"{ind}if not tlb_lookup(addr):")
-                emit(f"{ind}    extra += {walk}")
-                emit(f"{ind}    bw += {walk_bw}")
-            if has_l1:
-                emit(f"{ind}if not l1_lookup(addr):")
-                emit(f"{ind}    extra += {l1_cyc}")
-                emit(f"{ind}    bw += {l1_bw}")
-                emit(f"{ind}    if not l2_lookup(addr):")
-                emit(f"{ind}        extra += {l2_cyc}")
-                emit(f"{ind}        bw += {l2_bw}")
+        def gauge_probe(ind, gauge, name, hits, cycles, issue, on_miss):
+            # ``name`` prefixes the gauge's bound set list and lookup.
+            # A hit replicates Tlb.lookup's (MRU shortcut, then LRU
+            # move); a miss, or a geometry that is not a power of two,
+            # calls the lookup itself.
+            miss = [f"{ind}    extra += {cycles!r}",
+                    f"{ind}    bw += {issue!r}", *on_miss]
+            if gauge._shift is None or gauge._mask is None:
+                emit(f"{ind}if not {name}_lookup(addr):")
+                body.extend(miss)
+                return
+            if (name, hits) not in mru:
+                mru.append((name, hits))
+            emit(f"{ind}pg = addr >> {gauge._shift}")
+            emit(f"{ind}es = {name}sets[pg & {gauge._mask}]")
+            emit(f"{ind}if es and es[-1] == pg:")
+            emit(f"{ind}    {hits} += 1")
+            emit(f"{ind}elif pg in es:")
+            emit(f"{ind}    es.remove(pg)")
+            emit(f"{ind}    es.append(pg)")
+            emit(f"{ind}    {hits} += 1")
+            emit(f"{ind}elif not {name}_lookup(addr):")
+            body.extend(miss)
 
-        def guarded(ind, stmt, pc):
+        def probe(ind):
+            # Machine.step's model probes of ``addr``: TLB, L1, then L2
+            # on an L1 miss.
+            emit(f"{ind}extra = 0.0")
+            emit(f"{ind}bw = 0.0")
+            if tlb is not None:
+                gauge_probe(ind, tlb, "tlb", "th", walk_f,
+                            walk_f * model.tlb_walk_issue_fraction, ())
+            if l1 is not None:
+                gauge_probe(ind, l1, "l1", "l1h", model.l1_miss_cycles,
+                            model.l1_miss_issue, (
+                                f"{ind}    if not l2_lookup(addr):",
+                                f"{ind}        extra += "
+                                f"{model.l2_miss_cycles!r}",
+                                f"{ind}        bw += "
+                                f"{model.l2_miss_issue!r}"))
+
+        def guarded(ind, lines, pc):
             emit(f"{ind}try:")
-            emit(f"{ind}    {stmt}")
+            body.extend(lines)
             emit(f"{ind}except MemoryFault as fault:")
+            emit(f"{ind}    n = {k}")
             emit(f"{ind}    cpu.pc = {pc}")
             emit(f"{ind}    raise MemTrap({pc}, fault) from None")
 
-        def charge_access(ind, ic, lt, uses, defs):
-            # A load/store's charge: model probes on ``addr``, then the
-            # issue cost plus miss bandwidth and the latency plus misses.
-            emit(f"{ind}extra = 0.0")
-            emit(f"{ind}bw = 0.0")
-            probe_checks(ind)
-            emit(f"{ind}t_issue += {ic} + bw")
-            tail(ind, uses, f"{lt} + extra", defs)
-
-        ind = "            "
         for i, (kind, _exec, pc, icost, lat, uses, defs, fused) in \
-                enumerate(ops):
-            ic, lt = repr(icost), repr(lat)
-            if kind == 0:  # simple
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 1")
-            elif kind == 1:  # load/store
-                guarded(ind, f"addr = e{i}()", pc)
-                charge_access(ind, ic, lt, uses, defs)
-                emit(f"{ind}n += 1")
-            elif kind == 2:  # branch terminator
-                guarded(ind, f"taken = e{i}()", pc)
-                emit(f"{ind}if taken:")
-                emit(f"{ind}    t_issue += {repr(icost + tb)}")
-                emit(f"{ind}else:")
-                emit(f"{ind}    t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 1")
-            elif kind == 4:  # fused guard + load/store
-                g_icost, g_lat, g_uses, g_defs, a_pc = fused
-                g_ic, g_lt = repr(g_icost), repr(g_lat)
+                enumerate(block.ops):
+            ic, lt, ictb = repr(icost), repr(lat), repr(icost + tb)
+            spec = block.tmpls[i]
+            if spec is None:  # generic handler semantics
+                if flags_local:  # the handler may read or set NZCV
+                    emit(f"{ind}{_COMMIT_FLAGS}")
+                    emit(f"{ind}f_n = None")
+                    flags_local = False
+                generic.append(i)
                 emit(f"{ind}try:")
-                emit(f"{ind}    addr = e{i}()")
+                emit(f"{ind}    taken, addr = e{i}()")
                 emit(f"{ind}except MemoryFault as fault:")
-                # The guard half retired before the access faulted.
-                emit(f"{ind}    t_issue += {g_ic}")
-                tail(ind + "    ", g_uses, g_lt, g_defs)
-                emit(f"{ind}    n += 1")
-                emit(f"{ind}    cpu.pc = {a_pc}")
-                emit(f"{ind}    raise MemTrap({a_pc}, fault) from None")
-                emit(f"{ind}t_issue += {g_ic}")
-                tail(ind, g_uses, g_lt, g_defs)
-                charge_access(ind, ic, lt, uses, defs)
-                emit(f"{ind}n += 2")
-            elif kind == 5:  # fused guard + indirect branch
-                g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {repr(g_icost)}")
-                tail(ind, g_uses, repr(g_lat), g_defs)
-                emit(f"{ind}t_issue += {repr(icost + tb)}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 2")
-                emit(f"{ind}taken = True")
-            elif kind == 6:  # fused sp guard pair
-                g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {repr(g_icost)}")
-                tail(ind, g_uses, repr(g_lat), g_defs)
-                emit(f"{ind}t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 2")
-            else:  # generic handler semantics
-                guarded(ind, f"taken, addr = e{i}()", pc)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                emit(f"{ind}if addr is not None:")
-                probe_checks(ind + "    ")
+                emit(f"{ind}    n = {k}")
+                emit(f"{ind}    cpu.pc = {pc}")
+                emit(f"{ind}    raise MemTrap({pc}, fault) from None")
+                emit(f"{ind}except BaseException:")
+                emit(f"{ind}    n = {k}")
+                emit(f"{ind}    raise")
+                emit(f"{ind}if addr is None:")
+                emit(f"{ind}    extra = 0.0")
+                emit(f"{ind}    bw = 0.0")
+                emit(f"{ind}else:")
+                probe(ind + "    ")
                 emit(f"{ind}if taken:")
-                emit(f"{ind}    t_issue += {repr(icost + tb)} + bw")
+                emit(f"{ind}    t_issue += {ictb} + bw")
                 emit(f"{ind}else:")
                 emit(f"{ind}    t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
-                emit(f"{ind}n += 1")
+                charge(ind, None, uses, f"{lt} + extra", defs)
+                continue
+            row = _ROWS[spec[0]]
+            if row.sets_nzcv:
+                flags_local = writes_flags = True
+            names = _LOCAL_FLAGS if flags_local else _CPU_FLAGS
+            if fused is not None:  # the guard half retires first
+                g_icost, g_lat, g_uses, g_defs, a_pc = fused
+                charge(ind, repr(g_icost), g_uses, repr(g_lat), g_defs)
+                pc = a_pc
+            if kind == K_BRANCH and row.cond is not None:
+                cond = inline.render(row.cond, row, spec[1], names)
+                emit(f"{ind}if {cond}:")
+                body.extend(inline.lines(row, spec[1], names, ind + "    "))
+                emit(f"{ind}    taken = True")
+                emit(f"{ind}    t_issue += {ictb}")
+                emit(f"{ind}else:")
+                emit(f"{ind}    t_issue += {ic}")
+                charge(ind, None, uses, lt, defs)
+            elif kind in (K_BRANCH, K_FUSED_BRANCH):
+                body.extend(inline.lines(row, spec[1], names, ind))
+                emit(f"{ind}taken = True")
+                charge(ind, ictb, uses, lt, defs)
+            elif kind in (K_MEM, K_FUSED_MEM):
+                guarded(ind, inline.lines(row, spec[1], names, ind + "    "),
+                        pc)
+                probe(ind)
+                charge(ind, f"{ic} + bw", uses, f"{lt} + extra", defs)
+            else:  # K_SIMPLE, K_FUSED_SIMPLE
+                body.extend(inline.lines(row, spec[1], names, ind))
+                charge(ind, ic, uses, lt, defs)
         rtcall = block.rtcall
         if rtcall is not None:  # fused ldr x30, [x21, #n]; blr x30
             (_exec, r_pc, l_icost, l_lat, l_uses, l_defs,
-             b_icost, b_lat, b_uses, b_defs) = rtcall
-            guarded(ind, "addr = rt()", r_pc)
-            charge_access(ind, repr(l_icost), repr(l_lat), l_uses, l_defs)
-            emit(f"{ind}t_issue += {repr(b_icost + tb)}")
-            tail(ind, b_uses, repr(b_lat), b_defs)
-            emit(f"{ind}n += 2")
+             b_icost, b_lat, b_uses, b_defs, spec) = rtcall
+            row = _ROWS[spec[0]]
+            guarded(ind, inline.lines(row, spec[1], _CPU_FLAGS, ind + "    "),
+                    r_pc)
+            probe(ind)
+            charge(ind, f"{l_icost!r} + bw", l_uses, f"{l_lat!r} + extra",
+                   l_defs)
+            charge(ind, repr(b_icost + tb), b_uses, repr(b_lat), b_defs)
 
-        binds = ", ".join(
-            [f"e{i}=ops[{i}][1]" for i in range(len(ops))]
-            + ["rt=rt", "costing=costing", "machine=machine",
-               "ready=ready", "ready_get=ready_get", "cpu=cpu",
-               "tlb_lookup=tlb_lookup", "l1_lookup=l1_lookup",
-               "l2_lookup=l2_lookup", "MemoryFault=MemoryFault",
-               "MemTrap=MemTrap"])
+        head = ["t_issue = costing.t_issue", "t_done = costing.t_done"]
+        head += [f"{local(key)} = ready_get({key!r}, ABSENT)"
+                 for key in loads]
+        if writes_flags:
+            head.append("f_n = None")
+        head += [f"{hits} = 0" for _gauge, hits in mru]
+        head += ["n = 0", "taken = False"]
+        # Exit commits: partial on a trap (``n`` retired), full otherwise.
+        partial_commit = ["costing.t_issue = t_issue",
+                          "costing.t_done = t_done"]
+        commit = list(partial_commit)
+        for key, retired in first_def.items():
+            partial_commit += [f"if n >= {retired}:",
+                               f"    ready[{key!r}] = {local(key)}"]
+            commit.append(f"ready[{key!r}] = {local(key)}")
+        if writes_flags:
+            partial_commit += ["if f_n is not None:", "    " + _COMMIT_FLAGS]
+            if flags_local:
+                commit.append(_COMMIT_FLAGS)
+        for gauge, hits in mru:
+            partial_commit.append(f"{gauge}.hits += {hits}")
+            commit.append(f"{gauge}.hits += {hits}")
+        partial_commit += ["machine.instret += n", "raise"]
+        commit.append(f"machine.instret += {k}")
+
+        env = self._block_env()
+        binds = ", ".join([f"e{i}=ops[{i}][1]" for i in generic]
+                          + [f"{name}={name}" for name in env])
         src = "\n".join(
-            ["def _factory(ops, rt, costing, machine, ready, ready_get,",
-             "             cpu, tlb_lookup, l1_lookup, l2_lookup,",
-             "             MemoryFault, MemTrap):",
+            [f"def _factory(ops, {', '.join(env)}):",
              f"    def run({binds}):",
-             "        t_issue = costing.t_issue",
-             "        t_done = costing.t_done",
-             "        n = 0",
-             "        taken = False",
+             *("        " + line for line in head),
              "        try:",
-             *lines,
-             "        finally:",
-             "            costing.t_issue = t_issue",
-             "            costing.t_done = t_done",
-             "            machine.instret += n",
+             *body,
+             "        except BaseException:",
+             *("            " + line for line in partial_commit),
+             *("        " + line for line in commit),
              "        return taken",
              "    return run",
              ""])
-        namespace: Dict[str, object] = {}
-        exec(compile(src, f"<superblock {block.start:#x}>", "exec"),
-             namespace)
-        costing = machine._costing
-        fn = namespace["_factory"](
-            ops, rtcall[0] if rtcall is not None else None, costing,
-            machine, costing.ready, costing.ready.get, machine.cpu,
-            machine.tlb.lookup if has_tlb else None,
-            machine.l1.lookup if has_l1 else None,
-            machine.l2.lookup if machine.l2 is not None else None,
-            MemoryFault, self._M.MemTrap)
+        factory = _CODE_CACHE.get(src)
+        if factory is None:
+            namespace: Dict[str, object] = {}
+            exec(compile(src, f"<superblock {block.start:#x}>", "exec"),
+                 namespace)
+            factory = _CODE_CACHE[src] = namespace["_factory"]
+            if len(_CODE_CACHE) > _CODE_CACHE_CAP:
+                _CODE_CACHE.popitem(last=False)
+        else:
+            _CODE_CACHE.move_to_end(src)
+            self.code_cache_hits += 1
+        fn = factory(block.ops, **env)
         self.compiled_blocks += 1
         return fn
+
+    def _block_env(self) -> Dict[str, object]:
+        """Everything a compiled block may bind, by its name in the
+        generated source (the same names for every machine).
+
+        A block binds them all as default arguments, i.e. fast locals,
+        so each must keep its identity for the
+        machine's lifetime: the register lists (``CpuState.restore``
+        copies in place), the scoreboard dict, the gauges' set lists and
+        the memory's page tables are only ever mutated, never rebound
+        (speculation rollback restores them in place).
+        """
+        machine = self.machine
+        costing = machine._costing
+        cpu = machine.cpu
+        memory = machine.memory
+        tlb, l1, l2 = machine.tlb, machine.l1, machine.l2
+        return dict(
+            costing=costing, machine=machine, cpu=cpu, regs=cpu.regs,
+            vregs=cpu.vregs, ready=costing.ready, ready_get=costing.ready.get,
+            tlb=tlb, tlbsets=tlb and tlb._sets, tlb_lookup=tlb and tlb.lookup,
+            l1=l1, l1sets=l1 and l1._sets, l1_lookup=l1 and l1.lookup,
+            l2_lookup=l2 and l2.lookup, mem=memory, pages=memory._pages,
+            perms_get=memory._perms.get, cow=memory._cow, read=memory.read,
+            write=memory.write, f2b=self._M._float_to_bits, **_FP_ENV,
+            MemoryFault=MemoryFault, MemTrap=self._M.MemTrap,
+            ABSENT=float("-inf"))
 
     # -- translation --------------------------------------------------------
 
@@ -1462,19 +1138,19 @@ class SuperblockEngine:
             ldr_pc, ldr_entry = decoded[-2]
             blr_pc, blr_entry = decoded[-1]
             form = self._mem_form(ldr_entry[0].mem)
-            if form is not None and form[0] == "imm" and not form[2]:
-                exec_ = _t_rtcall(machine.cpu, machine.cpu.regs,
-                                  memory.read, form[1], form[3],
-                                  blr_pc + 4)
+            if form is not None and form[0] == "imm":
+                args = form[1] + (blr_pc + 4,)
+                exec_ = _ROWS["rtcall"].make(*self._env, *args)
                 l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr_entry)
                 b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr_entry)
                 rtcall = (exec_, ldr_pc, l_icost, l_lat, l_uses, l_defs,
-                          b_icost, b_lat, b_uses, b_defs)
+                          b_icost, b_lat, b_uses, b_defs, ("rtcall", args))
                 decoded = decoded[:-2]
                 self.fused_calls += 1
 
         guard_map = machine.guard_map
         ops = []
+        tmpls = []
         count = 2 if rtcall is not None else 0
         i = 0
         while i < len(decoded):
@@ -1482,16 +1158,19 @@ class SuperblockEngine:
             if guard_map and pc_i in guard_map and i + 1 < len(decoded):
                 fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
                 if fused is not None:
-                    ops.append(fused)
+                    ops.append(fused[0])
+                    tmpls.append(fused[1])
                     count += 2
                     i += 2
                     continue
-            ops.append(self._build_op(pc_i, entry))
+            op, spec = self._build_op(pc_i, entry)
+            ops.append(op)
+            tmpls.append(spec)
             count += 1
             i += 1
 
-        block = Superblock(start, last_pc + 4, ops, count, last_pc + 4,
-                           rtcall)
+        block = Superblock(start, last_pc + 4, ops, tmpls, count,
+                           last_pc + 4, rtcall)
         self._blocks[start] = block
         self.translations += 1
         return block
@@ -1508,169 +1187,148 @@ class SuperblockEngine:
         return (model.issue_cost(klass), model.result_latency(klass), uses,
                 defs)
 
-    def _build_op(self, pc: int, entry: tuple) -> tuple:
+    def _build_op(self, pc: int, entry: tuple) -> Tuple[tuple, object]:
+        """The op tuple for one instruction, and its template (or None)."""
         inst, handler = entry[0], entry[1]
         icost, lat, uses, defs = self._cost_entry(entry)
         spec = self._specialize(pc, inst)
-        if spec is None:
+        if spec is not None:
+            row = _ROWS[spec[0]]
+            return (row.kind, row.make(*self._env, *spec[1]), pc, icost,
+                    lat, uses, defs, None), spec
+        M = self._M
+        cpu = self.machine.cpu
+        base = inst.base
+        ops = inst.operands
+        # Traps (block terminators; pc set before the raise).
+        imm = ops[0].value if ops and base in ("svc", "brk") else 0
+        if base == "svc":
+            exec_ = _trap(cpu, pc, lambda: M.SvcTrap(pc, imm))
+        elif base == "brk":
+            exec_ = _trap(cpu, pc, lambda: M.BrkTrap(pc, imm))
+        elif base == "hlt":
+            exec_ = _trap(cpu, pc, lambda: M.HltTrap(pc))
+        else:
             exec_ = partial(handler, inst)
-            if inst.base in _PC_READING:
-                exec_ = _pc_fix(self.machine.cpu, pc, exec_)
-            return (K_GENERIC, exec_, pc, icost, lat, uses, defs, None)
-        kind, exec_ = spec
-        return (kind, exec_, pc, icost, lat, uses, defs, None)
+            if base in _PC_READING:
+                exec_ = _pc_fix(cpu, pc, exec_)
+        return (K_GENERIC, exec_, pc, icost, lat, uses, defs, None), None
 
     def _specialize(self, pc: int, inst: Instruction):
-        """Build a specialized thunk, or None for the generic fallback."""
-        M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        regs = cpu.regs
-        mem = machine.memory
+        """The ``(row key, args)`` template of ``inst``, or None for the
+        generic handler."""
         base = inst.base
         m = inst.mnemonic
         ops = inst.operands
 
-        # -- traps (block terminators; pc set before the raise) -----------
-        if base == "svc":
-            imm = ops[0].value if ops else 0
-            return (K_GENERIC,
-                    _t_trap(cpu, pc, lambda: M.SvcTrap(pc, imm)))
-        if base == "brk":
-            imm = ops[0].value if ops else 0
-            return (K_GENERIC,
-                    _t_trap(cpu, pc, lambda: M.BrkTrap(pc, imm)))
-        if base == "hlt":
-            return (K_GENERIC, _t_trap(cpu, pc, lambda: M.HltTrap(pc)))
-
         # -- branches ------------------------------------------------------
         if base == "b":
-            target = ops[0].value & MASK64 if isinstance(ops[0], Imm) \
-                else None
-            if target is None:
+            if not isinstance(ops[0], Imm):
                 return None
+            target = ops[0].value & MASK64
             if m == "b":
-                return (K_BRANCH, _t_b(cpu, target))
+                return "b", (target,)
             cond = self._canonical(m[2:])
             if cond is None:
                 return None
-            return (K_BRANCH, _t_bcond(cpu, cond, target))
+            return f"b.{cond}", (target,)
         if base == "bl":
             if not isinstance(ops[0], Imm):
                 return None
-            return (K_BRANCH,
-                    _t_bl(cpu, regs, ops[0].value & MASK64, pc + 4))
-        if base == "br":
-            if not _is_plain_gpr(ops[0]):
-                return None
-            return (K_BRANCH, _t_br(cpu, regs, ops[0].index))
-        if base == "blr":
-            if not _is_plain_gpr(ops[0]):
-                return None
-            return (K_BRANCH, _t_blr(cpu, regs, ops[0].index, pc + 4))
-        if base == "ret":
+            return "bl", (ops[0].value & MASK64, pc + 4)
+        if base in ("br", "blr", "ret"):
             reg = ops[0] if ops else LR
             if not _is_plain_gpr(reg):
                 return None
-            return (K_BRANCH, _t_br(cpu, regs, reg.index))
+            if base == "blr":
+                return "blr", (reg.index, pc + 4)
+            return "br", (reg.index,)
         if base in ("cbz", "cbnz"):
             rt, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_cb(cpu, regs, rt.index, rt.bits,
-                                    base == "cbz", target.value & MASK64))
+            return f"{base}.{rt.bits}", (rt.index, target.value & MASK64)
         if base in ("tbz", "tbnz"):
             rt, bit, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_tb(cpu, regs, rt.index, bit.value,
-                                    base == "tbnz", target.value & MASK64))
+            return base, (rt.index, bit.value, target.value & MASK64)
 
         # -- vector / floating point ---------------------------------------
         if ops and isinstance(ops[0], VecReg):
             return self._specialize_vector(inst)
 
-        if base in ("fadd", "fsub", "fmul") and len(ops) == 3:
-            rd, rn, rm = ops
-            if all(isinstance(r, Reg) and r.is_vector for r in ops) \
-                    and rd.bits == rn.bits == rm.bits \
-                    and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp2(
-                    cpu.vregs, rd.index, rn.index, rm.index, rd.bits,
-                    base, M._bits_to_float, M._float_to_bits))
-            return None
-
-        if base in ("fmadd", "fmsub") and len(ops) == 4:
-            rd, rn, rm, ra = ops
-            if all(isinstance(r, Reg) and r.is_vector for r in ops) \
-                    and rd.bits == rn.bits == rm.bits == ra.bits \
-                    and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp3(
-                    cpu.vregs, rd.index, rn.index, rm.index, ra.index,
-                    rd.bits, base == "fmsub",
-                    M._bits_to_float, M._float_to_bits))
+        if base in ("fadd", "fsub", "fmul", "fmadd", "fmsub"):
+            arity = 3 if base in ("fadd", "fsub", "fmul") else 4
+            if len(ops) == arity \
+                    and all(isinstance(r, Reg) and r.is_vector for r in ops) \
+                    and len({r.bits for r in ops}) == 1 \
+                    and ops[0].bits in (32, 64):
+                return f"{base}.{ops[0].bits}", tuple(r.index for r in ops)
             return None
 
         # -- data processing ----------------------------------------------
         if base in ("add", "sub", "adds", "subs"):
             rd, rn, rm = ops[0], ops[1], ops[2]
-            if not isinstance(rd, Reg) or rd.is_vector:
+            if not isinstance(rd, Reg) or rd.is_vector \
+                    or not isinstance(rn, Reg):
                 return None
-            setflags = base.endswith("s")
-            sub = base.startswith("sub")
             width = rd.bits
-            if not _is_plain_gpr(rn):
-                return None
-            if setflags:
-                if not (rd.is_zero or _is_plain_gpr(rd)):
+            mask = (1 << width) - 1
+            name = base[:3]
+            imm = isinstance(rm, (Imm, ShiftedImm))
+            b = ((rm.value << rm.shift if isinstance(rm, ShiftedImm)
+                  else rm.value) & mask) if imm else None
+            if base.endswith("s"):
+                if not _is_plain_gpr(rn) \
+                        or not (rd.is_zero or _is_plain_gpr(rd)):
                     return None
-                d = None if rd.is_zero else rd.index
-                if isinstance(rm, (Imm, ShiftedImm)):
-                    b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
-                         else rm.value) & ((1 << width) - 1)
-                    return (K_SIMPLE, _t_addsub_flags_imm(
-                        cpu, regs, d, rn.index, b, width, sub))
+                row = ("cmp" if name == "sub" else "cmn") if rd.is_zero \
+                    else base
+                dest = () if rd.is_zero else (rd.index,)
+                if imm:
+                    b = (~b) & mask if name == "sub" else b
+                    return f"{row}.imm.{width}", dest + (rn.index, b)
                 if _is_plain_gpr(rm) and rm.bits == width:
-                    return (K_SIMPLE, _t_addsub_flags_reg(
-                        cpu, regs, d, rn.index, rm.index, width, sub))
+                    return f"{row}.reg.{width}", dest + (rn.index, rm.index)
                 return None
-            if not _is_plain_gpr(rd):
+            if imm and width == 64 and (rd.is_sp or rn.is_sp) \
+                    and (rd.is_sp or _is_plain_gpr(rd)) \
+                    and (rn.is_sp or _is_plain_gpr(rn)):
+                if rd.is_sp and rn.is_sp:
+                    return f"{name}.imm.sp", (b,)
+                if rd.is_sp:
+                    return f"{name}.imm.dsp", (rn.index, b)
+                return f"{name}.imm.ssp", (rd.index, b)
+            if not _is_plain_gpr(rd) or not _is_plain_gpr(rn):
                 return None
-            if isinstance(rm, (Imm, ShiftedImm)):
-                b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
-                     else rm.value) & ((1 << width) - 1)
-                return (K_SIMPLE, _t_add_imm(regs, rd.index, rn.index, b,
-                                             width, sub))
-            if isinstance(rm, Reg) and _is_plain_gpr(rm) \
-                    and rm.bits == width:
-                return (K_SIMPLE, _t_add_reg(regs, rd.index, rn.index,
-                                             rm.index, width, sub))
-            if not sub and width == 64 and isinstance(rm, Extended) \
+            if imm:
+                return f"{name}.imm.{width}", (rd.index, rn.index, b)
+            if _is_plain_gpr(rm) and rm.bits == width:
+                return f"{name}.reg.{width}", (rd.index, rn.index, rm.index)
+            if name == "add" and width == 64 and isinstance(rm, Extended) \
                     and rm.kind == "uxtw" and not rm.amount \
                     and _is_plain_gpr(rm.reg):
-                return (K_SIMPLE, _t_add_uxtw(regs, rd.index, rn.index,
-                                              rm.reg.index))
+                return "add.uxtw", (rd.index, rn.index, rm.reg.index)
             if isinstance(rm, Shifted) and rm.kind == "lsl" \
                     and _is_plain_gpr(rm.reg) and rm.reg.bits == width:
-                return (K_SIMPLE, _t_addsub_shifted(
-                    regs, rd.index, rn.index, rm.reg.index,
-                    rm.amount % width, width, sub))
+                return f"{name}.lsl.{width}", (rd.index, rn.index,
+                                               rm.reg.index,
+                                               rm.amount % width)
             return None
 
         if base in ("mov", "movz", "movn"):
             rd, src = ops
-            if not isinstance(rd, Reg) or not _is_plain_gpr(rd):
+            if not _is_plain_gpr(rd):
                 return None
-            mask = (1 << rd.bits) - 1
             if isinstance(src, (Imm, ShiftedImm)):
                 v = src.value << src.shift if isinstance(src, ShiftedImm) \
                     else src.value
                 if base == "movn":
                     v = ~v
-                return (K_SIMPLE, _t_mov_const(regs, rd.index, v & mask))
+                return "mov.imm", (rd.index, v & ((1 << rd.bits) - 1))
             if base == "mov" and _is_plain_gpr(src):
-                return (K_SIMPLE, _t_mov_reg(regs, rd.index, src.index,
-                                             rd.bits))
+                return f"mov.reg.{rd.bits}", (rd.index, src.index)
             return None
 
         if base == "movk":
@@ -1678,148 +1336,83 @@ class SuperblockEngine:
             if not _is_plain_gpr(rd):
                 return None
             shift = src.shift if isinstance(src, ShiftedImm) else 0
-            imm = src.value
             keep = ((1 << rd.bits) - 1) & ~(0xFFFF << shift)
-            return (K_SIMPLE, _t_movk(regs, rd.index, keep, imm << shift,
-                                      rd.bits))
+            return f"movk.{rd.bits}", (rd.index, keep, src.value << shift)
 
         if base in ("adr", "adrp"):
             rd, src = ops
             if not _is_plain_gpr(rd) or not isinstance(src, Imm):
                 return None
-            return (K_SIMPLE,
-                    _t_mov_const(regs, rd.index, src.value & MASK64))
+            return "mov.imm", (rd.index, src.value & MASK64)
 
         if base in ("and", "orr", "eor"):
             rd, rn, rm = ops
-            if not isinstance(rd, Reg) or rd.is_vector \
-                    or not _is_plain_gpr(rd) or not _is_plain_gpr(rn):
+            if not _is_plain_gpr(rd) or not _is_plain_gpr(rn):
                 return None
             width = rd.bits
             if isinstance(rm, Imm):
-                b = rm.value & ((1 << width) - 1)
-                return (K_SIMPLE, _t_logic_imm(regs, rd.index, rn.index, b,
-                                               width, base))
-            if isinstance(rm, Reg) and _is_plain_gpr(rm) \
-                    and rm.bits == width:
-                return (K_SIMPLE, _t_logic_reg(regs, rd.index, rn.index,
-                                               rm.index, width, base))
+                return f"{base}.imm.{width}", (
+                    rd.index, rn.index, rm.value & ((1 << width) - 1))
+            if _is_plain_gpr(rm) and rm.bits == width:
+                return f"{base}.reg.{width}", (rd.index, rn.index, rm.index)
             return None
 
-        if base in ("lsl", "lsr", "asr"):
-            rd, rn, src = ops
-            if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
-                    or not isinstance(src, Imm):
+        if base in ("madd", "msub", "udiv", "sdiv"):
+            regs = ops[1:]
+            if not _is_plain_gpr(ops[0]) or len(ops) != (
+                    4 if base in ("madd", "msub") else 3) \
+                    or any(r.bits != ops[0].bits for r in regs) \
+                    or not all(_is_plain_gpr(r) for r in regs[:2]):
                 return None
-            return (K_SIMPLE, _t_shift_imm(regs, rd.index, rn.index,
-                                           src.value % rd.bits, rd.bits,
-                                           base))
-
-        if base in ("madd", "msub") and len(ops) == 4:
-            rd, rn, rm, ra = ops
-            if not (_is_plain_gpr(rd) and _is_plain_gpr(rn)
-                    and _is_plain_gpr(rm) and _is_plain_gpr(ra)) \
-                    or not rd.bits == rn.bits == rm.bits == ra.bits:
+            args = (ops[0].index, regs[0].index, regs[1].index)
+            if len(regs) == 2:
+                return f"{base}.{ops[0].bits}", args
+            if regs[2].is_zero:  # mul / mneg
+                return (f"{'mul' if base == 'madd' else 'mneg'}"
+                        f".{ops[0].bits}"), args
+            if not _is_plain_gpr(regs[2]):
                 return None
-            return (K_SIMPLE, _t_madd(regs, rd.index, rn.index, rm.index,
-                                      ra.index, rd.bits, base == "msub"))
+            return f"{base}.{ops[0].bits}", args + (regs[2].index,)
 
         if base in ("ubfm", "sbfm") and len(ops) == 4:
             rd, rn, immr, imms = ops
             if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
                     or rd.bits != rn.bits:
                 return None
-            return (K_SIMPLE, _t_bitfield(regs, rd.index, rn.index,
-                                          rd.bits, immr.value, imms.value,
-                                          base == "sbfm"))
+            width = rd.bits
+            immr, imms = immr.value, imms.value
+            if imms >= immr:
+                length, rsh, lsh = imms - immr + 1, immr, 0
+            else:
+                length, rsh, lsh = imms + 1, 0, width - immr
+            args = (rd.index, rn.index, rsh, (1 << length) - 1, lsh)
+            if base == "ubfm":
+                return f"ubfm.{width}", args
+            fill = ((1 << width) - 1) \
+                & ~((1 << min(lsh + length, width)) - 1)
+            return f"sbfm.{width}", args + (1 << (length - 1), fill)
 
         # -- memory --------------------------------------------------------
-        if base in _UNSIGNED_LOADS or base in _SIGNED_LOADS:
+        if base in _UNSIGNED_LOADS or base in _SIGNED_LOADS \
+                or base in _SIMPLE_STORES:
             rt, memop = ops[0], ops[1]
             if not isinstance(memop, Mem) or isinstance(rt, VecReg):
                 return None
-            if rt.is_vector:
-                if base in _SIGNED_LOADS:
-                    return None
-                form = self._mem_form(memop)
-                if form is None:
-                    return None
-                mode, base_i, sp_base, imm, w_i = form
-                size = access_bytes(inst)
-                vmask = (1 << rt.bits) - 1
-                if mode == "imm":
-                    return (K_MEM, _t_vload(cpu.vregs, regs, cpu, mem.read,
-                                            rt.index, base_i, imm, size,
-                                            vmask, sp_base))
-                return (K_MEM, _t_vload_uxtw(cpu.vregs, regs, mem.read,
-                                             rt.index, base_i, w_i, size,
-                                             vmask))
-            if not (rt.is_zero or _is_plain_gpr(rt)):
-                return None
-            if rt.is_zero:
-                return None  # prefetch-style form: keep generic
-            signed_bits = _SIGNED_LOADS.get(base)
-            size = access_bytes(inst)
+            access = self._access(inst, rt)
             form = self._mem_form(memop)
-            if form is None:
+            if access is None or form is None:
                 return None
-            mode, base_i, sp_base, imm, w_i = form
-            if mode == "imm":
-                return (K_MEM, _t_load(regs, cpu, mem.read, rt.index,
-                                       base_i, imm, size, signed_bits,
-                                       rt.bits, sp_base))
-            return (K_MEM, _t_load_uxtw(regs, mem.read, rt.index, base_i,
-                                        w_i, size, signed_bits, rt.bits))
-
-        if base in _SIMPLE_STORES:
-            rt, memop = ops[0], ops[1]
-            if not isinstance(memop, Mem) or isinstance(rt, VecReg):
-                return None
-            if rt.is_vector:
-                form = self._mem_form(memop)
-                if form is None:
-                    return None
-                mode, base_i, sp_base, imm, w_i = form
-                size = access_bytes(inst)
-                vmask = (1 << rt.bits) - 1
-                if mode == "imm":
-                    return (K_MEM, _t_vstore(cpu.vregs, regs, cpu,
-                                             mem.write, rt.index, base_i,
-                                             imm, size, vmask, sp_base))
-                return (K_MEM, _t_vstore_uxtw(cpu.vregs, regs, mem.write,
-                                              rt.index, base_i, w_i, size,
-                                              vmask))
-            if not (rt.is_zero or _is_plain_gpr(rt)):
-                return None
-            size = access_bytes(inst)
-            form = self._mem_form(memop)
-            if form is None:
-                return None
-            mode, base_i, sp_base, imm, w_i = form
-            t = 0 if rt.is_zero else rt.index
-            if mode == "imm":
-                return (K_MEM, _t_store(regs, cpu, mem.write, t, base_i,
-                                        imm, size, sp_base, rt.is_zero))
-            return (K_MEM, _t_store_uxtw(regs, mem.write, t, base_i, w_i,
-                                         size, rt.is_zero))
+            return f"{access[0]}.{form[0]}", form[1] + access[1]
 
         if base in ("ldp", "stp"):
             rt, rt2, memop = ops
-            if rt.is_vector or rt2.is_vector or rt.bits != 64 \
-                    or rt2.bits != 64:
-                return None
-            if not _is_plain_gpr(rt) or not _is_plain_gpr(rt2):
+            if not _is_plain_gpr(rt) or not _is_plain_gpr(rt2) \
+                    or rt.bits != 64 or rt2.bits != 64:
                 return None
             form = self._mem_form(memop)
-            if form is None:
+            if form is None or form[0] == "uxtw":
                 return None
-            mode, base_i, sp_base, imm, _w_i = form
-            if mode != "imm":
-                return None
-            factory = _t_ldp if base == "ldp" else _t_stp
-            accessor = mem.read if base == "ldp" else mem.write
-            return (K_MEM, factory(regs, cpu, accessor, rt.index,
-                                   rt2.index, base_i, imm, sp_base))
+            return f"{base}.{form[0]}", form[1] + (rt.index, rt2.index)
 
         return None
 
@@ -1840,40 +1433,67 @@ class SuperblockEngine:
             return None
         if not (rd.arrangement == rn.arrangement == rm.arrangement):
             return None
-        vregs = self.machine.cpu.vregs
-        d, n, m = rd.reg.index, rn.reg.index, rm.reg.index
+        regs = (rd.reg.index, rn.reg.index, rm.reg.index)
         bits = rd.lane_bits
         lanes = rd.lanes
         if base in ("and", "orr", "eor"):
-            full_mask = (1 << (lanes * bits)) - 1
-            return (K_SIMPLE,
-                    _t_vec3_bitwise(vregs, d, n, m, full_mask, base))
-        return (K_SIMPLE, _t_vec3_lanes(vregs, d, n, m, lanes, bits, base))
+            return f"vec.{base}", regs + ((1 << (lanes * bits)) - 1,)
+        return f"vec.{base}", regs + (tuple(range(0, lanes * bits, bits)),
+                                      (1 << bits) - 1)
 
     @staticmethod
-    def _mem_form(memop: Mem):
-        """Classify a Mem operand for specialization.
-
-        Returns ``(mode, base_index, sp_base, imm, w_index)`` where mode
-        is ``"imm"`` (base register + immediate) or ``"uxtw"`` (the guard
-        addressing mode), or None if the form needs the generic handler.
-        """
-        if memop.mode in (PRE_INDEX, POST_INDEX):
+    def _access(inst: Instruction, rt) -> Optional[Tuple[str, tuple]]:
+        """The transfer half of a single load/store: ``(access, args)``
+        naming a table access (``ld``, ``lds``, ``st``, ``stz``, ``vld``,
+        ``vst``), or None for the generic handler."""
+        base = inst.base
+        size = access_bytes(inst)
+        if base in _SIMPLE_STORES:
+            if rt.is_vector:
+                return "vst", (rt.index, size, (1 << rt.bits) - 1)
+            if rt.is_zero:
+                return "stz", (size, bytes(size))
+            if _is_plain_gpr(rt):
+                return "st", (rt.index, size, (1 << (size * 8)) - 1)
             return None
+        if rt.is_vector:
+            if base in _SIGNED_LOADS:
+                return None
+            return "vld", (rt.index, size, (1 << rt.bits) - 1)
+        if not _is_plain_gpr(rt):
+            return None  # includes the prefetch-style zero target
+        bits = _SIGNED_LOADS.get(base)
+        if bits is None:
+            return "ld", (rt.index, size)
+        return "lds", (rt.index, size, 1 << (bits - 1), 1 << bits,
+                       MASK64 if rt.bits == 64 else MASK32)
+
+    @staticmethod
+    def _mem_form(memop: Mem) -> Optional[Tuple[str, tuple]]:
+        """The table addressing form of a Mem operand: ``(form, args)``.
+
+        ``imm`` (base register + immediate: args ``(base, imm)``), ``sp``
+        (sp + immediate: ``(imm,)``), ``pre``/``post`` and their ``_sp``
+        variants (writeback, same args), or ``uxtw`` (the guard mode:
+        ``(base, index)``); None if the form needs the generic handler.
+        """
         base = memop.base
         if not isinstance(base, Reg) or base.is_zero or base.is_vector:
             return None
-        sp_base = base.is_sp
-        base_i = None if sp_base else base.index
+        sp = base.is_sp
+        args = () if sp else (base.index,)
         off = memop.offset
-        if off is None:
-            return ("imm", base_i, sp_base, 0, None)
-        if isinstance(off, Imm):
-            return ("imm", base_i, sp_base, off.value, None)
+        if memop.mode in (PRE_INDEX, POST_INDEX):
+            if not isinstance(off, Imm):
+                return None
+            form = "pre" if memop.mode == PRE_INDEX else "post"
+            return (form + "_sp" if sp else form), args + (off.value,)
+        if off is None or isinstance(off, Imm):
+            return ("sp" if sp else "imm"), args + (
+                off.value if off is not None else 0,)
         if isinstance(off, Extended) and off.kind == "uxtw" \
-                and not off.amount and _is_plain_gpr(off.reg) \
-                and not sp_base:
-            return ("uxtw", base_i, sp_base, 0, off.reg.index)
+                and not off.amount and _is_plain_gpr(off.reg) and not sp:
+            return "uxtw", (base.index, off.reg.index)
         return None
 
     @staticmethod
@@ -1882,7 +1502,7 @@ class SuperblockEngine:
             cond = canonical_condition(cond)
         except ValueError:
             return None
-        return cond if cond in _COND_EVAL else None
+        return cond if cond in _COND_SRC else None
 
     # -- guard fusion --------------------------------------------------------
 
@@ -1890,22 +1510,33 @@ class SuperblockEngine:
                   access_entry: tuple) -> Optional[tuple]:
         """Fuse a verified guard instruction with its consumer.
 
-        Takes both instructions' decode-cache entries.  Returns a
-        complete op tuple (kind K_FUSED_*) or None.  The op's main cost
-        fields describe the *access* instruction; the ``fused`` slot
+        Takes both instructions' decode-cache entries.  Returns the op
+        tuple (kind K_FUSED_*) and its template, or None.  The op's main
+        cost fields describe the *access* instruction; the ``fused`` slot
         carries ``(guard_icost, guard_lat, guard_uses, guard_defs,
         access_pc)`` so compiled blocks charge both entries in retire
         order — cycle accounting stays bit-identical to stepping.
         """
         guard, access = guard_entry[0], access_entry[0]
-        machine = self.machine
-        cpu = machine.cpu
-        regs = cpu.regs
-        mem = machine.memory
         gops = guard.operands
+        aops = access.operands
+        ab = access.base
+        spec = None
 
-        fused_exec = None
-        kind = None
+        def transfer(form_name):
+            # The fused consumer's (form args, access) if it is a GPR
+            # load/store in addressing form ``form_name``.
+            if not ((ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
+                     or ab in _SIMPLE_STORES) and len(aops) == 2
+                    and isinstance(aops[1], Mem)
+                    and not isinstance(aops[0], VecReg)):
+                return None
+            form = self._mem_form(aops[1])
+            acc = self._access(access, aops[0])
+            if form is None or form[0] != form_name or acc is None \
+                    or acc[0] not in ("ld", "lds", "st", "stz"):
+                return None
+            return form[1], acc
 
         # Pattern 1: address guard  add Xg, Xb, wS, uxtw  + consumer.
         if guard.mnemonic == "add" and len(gops) == 3 \
@@ -1915,39 +1546,17 @@ class SuperblockEngine:
                 and gops[2].kind == "uxtw" and not gops[2].amount \
                 and _is_plain_gpr(gops[2].reg):
             g_d = gops[0].index
-            base_i = gops[1].index
-            g_s = gops[2].reg.index
-            aops = access.operands
-            ab = access.base
+            guard_args = (gops[1].index, gops[2].reg.index, g_d)
             if ab in ("br", "blr", "ret"):
                 reg = aops[0] if aops else LR
                 if _is_plain_gpr(reg) and reg.index == g_d:
-                    link = pc + 8 if ab == "blr" else None
-                    fused_exec = _t_fused_guard_branch(cpu, regs, g_d, g_s,
-                                                       base_i, link)
-                    kind = K_FUSED_BRANCH
-            elif (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
-                    or ab in _SIMPLE_STORES) and len(aops) == 2 \
-                    and isinstance(aops[1], Mem):
-                rt, memop = aops
-                form = self._mem_form(memop)
-                if form is not None and form[0] == "imm" \
-                        and not form[2] and form[1] == g_d \
-                        and not rt.is_vector:
-                    imm = form[3]
-                    size = access_bytes(access)
-                    is_store = ab in _SIMPLE_STORES
-                    if is_store and (rt.is_zero or _is_plain_gpr(rt)):
-                        t = 0 if rt.is_zero else rt.index
-                        fused_exec = _t_fused_guard_store(
-                            regs, mem.write, g_d, g_s, t, imm, size,
-                            base_i, rt.is_zero)
-                        kind = K_FUSED_MEM
-                    elif not is_store and _is_plain_gpr(rt):
-                        fused_exec = _t_fused_guard_load(
-                            regs, mem.read, g_d, g_s, rt.index, imm, size,
-                            _SIGNED_LOADS.get(ab), rt.bits, base_i)
-                        kind = K_FUSED_MEM
+                    spec = (("guard.blr", guard_args + (pc + 8,))
+                            if ab == "blr" else ("guard.br", guard_args))
+            else:
+                found = transfer("imm")
+                if found is not None and found[0][0] == g_d:
+                    (_base, imm), (acc, acc_args) = found
+                    spec = (f"guard.{acc}", guard_args + (imm,) + acc_args)
 
         # Pattern 2: offset fold  add/sub wD, wS, #imm  +
         #            op [Xb, wD, uxtw]  (Table 3 rows 2, 5-7).
@@ -1956,41 +1565,21 @@ class SuperblockEngine:
                 and _is_plain_gpr(gops[1]) and gops[1].bits == 32 \
                 and isinstance(gops[2], Imm):
             o_d = gops[0].index
-            o_s = gops[1].index
-            o_imm = gops[2].value & MASK32
-            o_sub = guard.mnemonic == "sub"
-            aops = access.operands
-            ab = access.base
-            if (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
-                    or ab in _SIMPLE_STORES) and len(aops) == 2 \
-                    and isinstance(aops[1], Mem):
-                rt, memop = aops
-                form = self._mem_form(memop)
-                if form is not None and form[0] == "uxtw" \
-                        and form[4] == o_d and not rt.is_vector:
-                    base_i = form[1]
-                    size = access_bytes(access)
-                    is_store = ab in _SIMPLE_STORES
-                    if is_store and (rt.is_zero or _is_plain_gpr(rt)):
-                        t = 0 if rt.is_zero else rt.index
-                        fused_exec = _t_fused_offset_store(
-                            regs, mem.write, o_d, o_s, o_imm, o_sub, t,
-                            size, base_i, rt.is_zero)
-                        kind = K_FUSED_MEM
-                    elif not is_store and _is_plain_gpr(rt):
-                        fused_exec = _t_fused_offset_load(
-                            regs, mem.read, o_d, o_s, o_imm, o_sub,
-                            rt.index, size, _SIGNED_LOADS.get(ab),
-                            rt.bits, base_i)
-                        kind = K_FUSED_MEM
+            found = transfer("uxtw")
+            if found is not None and found[0][1] == o_d:
+                (base_i, _idx), (acc, acc_args) = found
+                spec = (f"offset.{guard.mnemonic}.{acc}",
+                        (base_i, gops[1].index, o_d, gops[2].value & MASK32)
+                        + acc_args)
 
-        # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD.
-        elif guard.mnemonic == "mov" and len(gops) == 2 \
+        # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD (the
+        # mov decodes as ``add wD, wsp, #0``).
+        elif guard.mnemonic == "add" and len(gops) == 3 \
                 and _is_plain_gpr(gops[0]) and gops[0].bits == 32 \
                 and isinstance(gops[1], Reg) and gops[1].is_sp \
-                and gops[1].bits == 32:
+                and gops[1].bits == 32 and isinstance(gops[2], Imm) \
+                and gops[2].value == 0:
             w_d = gops[0].index
-            aops = access.operands
             if access.mnemonic == "add" and len(aops) == 3 \
                     and isinstance(aops[0], Reg) and aops[0].is_sp \
                     and _is_plain_gpr(aops[1]):
@@ -2003,14 +1592,13 @@ class SuperblockEngine:
                         and not src.amount and _is_plain_gpr(src.reg) \
                         and src.reg.bits == 64
                 if src_ok and src_reg.index == w_d:
-                    fused_exec = _t_fused_sp_guard(cpu, regs, w_d,
-                                                   aops[1].index)
-                    kind = K_FUSED_SIMPLE
+                    spec = ("guard.sp", (aops[1].index, w_d))
 
-        if fused_exec is None:
+        if spec is None:
             return None
+        row = _ROWS[spec[0]]
         g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard_entry)
         a_icost, a_lat, a_uses, a_defs = self._cost_entry(access_entry)
         fused_info = (g_icost, g_lat, g_uses, g_defs, pc + 4)
-        return (kind, fused_exec, pc, a_icost, a_lat, a_uses, a_defs,
-                fused_info)
+        return (row.kind, row.make(*self._env, *spec[1]), pc, a_icost,
+                a_lat, a_uses, a_defs, fused_info), spec

@@ -13,7 +13,12 @@ __all__ = ["Tlb"]
 
 
 class Tlb:
-    """LRU set-associative TLB over fixed-size pages."""
+    """LRU set-associative TLB over fixed-size pages.
+
+    Compiled superblocks bind ``_sets`` and probe each set's most
+    recently used entry inline, so the list is only ever mutated, never
+    rebound.
+    """
 
     def __init__(self, entries: int = 1024, ways: int = 4,
                  page_size: int = 16 * 1024):
@@ -70,9 +75,6 @@ class Tlb:
         entries = self._sets[page & mask if mask is not None
                              else page % self.sets]
         return page in entries
-
-    def flush(self) -> None:
-        self._sets = [[] for _ in range(self.sets)]
 
     @property
     def accesses(self) -> int:

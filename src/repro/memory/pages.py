@@ -68,6 +68,10 @@ class PagedMemory:
         self.page_size = page_size
         self.va_bits = va_bits
         self.va_limit = 1 << va_bits
+        # Page number -> storage and -> permissions.  Every page with
+        # permissions has storage.  Compiled superblocks bind these two
+        # tables and ``_cow`` (their inline read/write fast paths), so
+        # they are only ever mutated, never rebound.
         self._pages: Dict[int, bytearray] = {}
         self._perms: Dict[int, int] = {}
         #: Per-slot index: 4GiB granule (``SANDBOX_BITS``) -> the mapped

@@ -11,15 +11,19 @@ modeled cycles, faults, and exported traces.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 
 from repro import EngineConfig
 from repro.core import O0, O2
-from repro.emulator import APPLE_M1, Machine, OutOfFuel
+from repro.emulator import APPLE_M1, Machine, OutOfFuel, Trap, superblock
 from repro.emulator.superblock import _COMPILE_MAX_OPS, _COMPILE_THRESHOLD
+from repro.fuzz.differential import SLOT, rewrite_to_elf, slot_machine
+from repro.fuzz.genasm import AsmGenerator, GenConfig
 from repro.memory import PagedMemory
 from repro.obs import GuardProfiler, Tracer
 from repro.obs.chrome import export_chrome_trace
@@ -459,3 +463,44 @@ class TestWarmClones:
             assert clones[0][1:] != clones[1][1:]  # different slots
             runs[engine.kind] = clones
         assert runs["superblock"] == runs["stepping"]
+
+
+class TestEngineTierSmoke:
+    """Seeded generated programs with every costed block compiled on its
+    first execution (threshold 1): the superblock engine's compiled tier
+    against stepping, under the apple-m1 model.  A precursor of the
+    engine-tier fuzz oracle (ROADMAP item 3)."""
+
+    @staticmethod
+    def _outcome(elf, engine):
+        machine = slot_machine(elf, engine=engine, model=APPLE_M1)
+        machine.guard_map = {SLOT.base + addr: klass
+                             for addr, klass in elf.provenance.items()}
+        try:
+            machine.run(fuel=200_000)
+            trap = None
+        except Trap as exc:
+            trap = (type(exc).__name__, exc.pc)
+        memory = machine.memory
+        digest = hashlib.sha256()
+        for base, size, _perms in sorted(memory.mapped_regions()):
+            digest.update(memory._raw_read(base, size))
+        cpu = machine.cpu
+        return {"regs": list(cpu.regs), "sp": cpu.sp, "nzcv": cpu.nzcv,
+                "vregs": list(cpu.vregs), "memory": digest.hexdigest(),
+                "instret": machine.instret, "cycles": machine.cycles,
+                "trap": trap}, machine._sb.compiled_blocks
+
+    def test_generated_programs_compiled_at_first_hit(self, monkeypatch):
+        monkeypatch.setattr(superblock, "_COMPILE_THRESHOLD", 1)
+        generator = AsmGenerator(GenConfig())
+        compiled = 0
+        for seed in range(40):
+            program = generator.generate(random.Random(f"engine-tier:{seed}"))
+            elf = rewrite_to_elf(program.source, O2)
+            stepping, _ = self._outcome(elf, STEPPING)
+            superblock_run, blocks = self._outcome(elf, SUPERBLOCK)
+            assert superblock_run == stepping, f"seed {seed}"
+            assert stepping["trap"] is not None, f"seed {seed}"
+            compiled += blocks
+        assert compiled > 40
